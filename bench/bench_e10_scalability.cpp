@@ -30,7 +30,7 @@ void experiment_table() {
   const auto solver = make_solver("lp-rounding");
   SolveOptions options;
   options.pipeline.rounding_repetitions = 32;
-  for (const std::size_t n : {40u, 80u, 160u, 240u}) {
+  for (const std::size_t n : {40u, 80u, 160u, 240u, 480u, 1000u}) {
     for (const int k : {2, 4}) {
       double build_s = 0.0;
       double lp_value = 0.0;

@@ -24,8 +24,10 @@
 //   BM_*         -- google-benchmark timings of one cold and one warm
 //                   churn solve.
 //
-// The headline number is the MEDIAN pivot ratio across the churn
-// scenarios (the verdict line prints it); the roadmap target is >= 2x.
+// The headline numbers are the MEDIAN pivot ratio and the MEDIAN cold/warm
+// wall-clock ratio (summed solver wall time) across the churn scenarios;
+// the verdict line prints both. The roadmap target is a wall-clock ratio
+// >= 2x; it is reported, not asserted.
 // SSA_E14_SCENARIOS / SSA_E14_VARIANTS shrink the grid for CI smoke.
 // Every row lands in BENCH_bench_e14_warm_start.json via bench_util.
 
@@ -173,10 +175,11 @@ ChurnOutcome run_churn_stream(const AuctionInstance& base,
   return outcome;
 }
 
-void churn_experiment(std::size_t scenarios, std::size_t variants,
-                      std::vector<double>& ratios) {
+void churn_experiment(std::size_t scenarios, std::size_t variants) {
   Table table({"scenario", "n", "k", "warm rate", "pivots cold", "pivots warm",
-               "ratio", "payload=="});
+               "ratio", "wall ratio", "payload=="});
+  std::vector<double> ratios;
+  std::vector<double> wall_ratios;
   for (std::size_t s = 0; s < scenarios; ++s) {
     const std::size_t n = 16 + 4 * (s % 3);
     const int k = 2 + static_cast<int>(s % 2);
@@ -189,12 +192,17 @@ void churn_experiment(std::size_t scenarios, std::size_t variants,
             ? static_cast<double>(outcome.cold_pivots) /
                   static_cast<double>(outcome.warm_pivots)
             : static_cast<double>(outcome.cold_pivots + 1);
+    const double wall_ratio = outcome.warm_seconds > 0.0
+                                  ? outcome.cold_seconds / outcome.warm_seconds
+                                  : 0.0;
     ratios.push_back(ratio);
+    wall_ratios.push_back(wall_ratio);
     const std::string name = "e14/churn/s" + std::to_string(s);
     table.add_row({name, Table::integer(static_cast<long long>(n)),
                    Table::integer(k), Table::num(outcome.warm_rate, 2),
                    Table::integer(outcome.cold_pivots),
                    Table::integer(outcome.warm_pivots), Table::num(ratio, 2),
+                   Table::num(wall_ratio, 2),
                    outcome.payload_identical ? "yes" : "NO"});
     bench::record(bench::BenchRecord{
         name, outcome.warm_seconds, 0.0, "lp-rounding",
@@ -203,20 +211,22 @@ void churn_experiment(std::size_t scenarios, std::size_t variants,
          {"cold_pivots", static_cast<double>(outcome.cold_pivots)},
          {"warm_pivots", static_cast<double>(outcome.warm_pivots)},
          {"pivot_ratio", ratio},
+         {"wall_ratio", wall_ratio},
          {"cold_seconds", outcome.cold_seconds},
          {"payload_identical", outcome.payload_identical ? 1.0 : 0.0}}});
   }
-  std::vector<double> sorted = ratios;
-  std::sort(sorted.begin(), sorted.end());
-  const double median = sorted.empty() ? 0.0 : sorted[sorted.size() / 2];
+  const double median = bench::median(ratios);
+  const double wall_median = bench::median(wall_ratios);
   bench::print_experiment(
       "E14: churn stream, cold vs warm-started explicit LP",
       table,
       "median pivot ratio (cold/warm) = " + Table::num(median, 2) +
-          " (roadmap target >= 2x)");
+          "; median wall-clock ratio = " + Table::num(wall_median, 2) +
+          " (roadmap target >= 2x wall-clock, reported, not asserted)");
   bench::record(bench::BenchRecord{
       "e14/churn/median", 0.0, 0.0, "lp-rounding",
-      {{"median_pivot_ratio", median}}});
+      {{"median_pivot_ratio", median},
+       {"median_wall_ratio", wall_median}}});
 }
 
 void delta_experiment(std::size_t scenarios) {
@@ -315,9 +325,8 @@ BENCHMARK(BM_WarmLpSolve);
 
 int main(int argc, char** argv) {
   return ssa::bench::run(argc, argv, [] {
-    std::vector<double> ratios;
     churn_experiment(env_count("SSA_E14_SCENARIOS", 6),
-                     env_count("SSA_E14_VARIANTS", 20), ratios);
+                     env_count("SSA_E14_VARIANTS", 20));
     delta_experiment(env_count("SSA_E14_SCENARIOS", 6));
   });
 }

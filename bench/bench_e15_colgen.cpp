@@ -24,10 +24,11 @@
 //                   pool-warm colgen solve.
 //
 // The headline number is the MEDIAN master-pivot ratio across the churn
-// scenarios (the verdict line prints it; the oracle-round ratio rides
-// along): the seeded master both skips the column regrowth AND starts
-// from the donor's basis, so pivots capture the full saving. The roadmap
-// target is >= 2x.
+// scenarios (the verdict line prints it; the oracle-round ratio and the
+// cold/warm wall-clock ratio of the summed solver wall time ride along):
+// the seeded master both skips the column regrowth AND starts from the
+// donor's basis, so pivots capture the full saving. The roadmap target is
+// >= 2x.
 // SSA_E15_SCENARIOS / SSA_E15_VARIANTS shrink the grid for CI smoke.
 // Every row lands in BENCH_bench_e15_colgen.json via bench_util.
 
@@ -145,9 +146,10 @@ ChurnOutcome run_churn_stream(const AsymmetricInstance& base,
 
 void churn_experiment(std::size_t scenarios, std::size_t variants) {
   Table table({"scenario", "n", "k", "warm rate", "rounds c/w", "pivots cold",
-               "pivots warm", "ratio", "cols c/w", "payload=="});
+               "pivots warm", "ratio", "wall ratio", "cols c/w", "payload=="});
   std::vector<double> pivot_ratios;
   std::vector<double> round_ratios;
+  std::vector<double> wall_ratios;
   for (std::size_t s = 0; s < scenarios; ++s) {
     const std::size_t n = 6 + (s % 3);
     const int k = 13 + static_cast<int>(s % 2);  // past the explicit cap
@@ -163,8 +165,12 @@ void churn_experiment(std::size_t scenarios, std::size_t variants) {
         ratio_of(outcome.cold_pivots, outcome.warm_pivots);
     const double round_ratio =
         ratio_of(outcome.cold_rounds, outcome.warm_rounds);
+    const double wall_ratio = outcome.warm_seconds > 0.0
+                                  ? outcome.cold_seconds / outcome.warm_seconds
+                                  : 0.0;
     pivot_ratios.push_back(pivot_ratio);
     round_ratios.push_back(round_ratio);
+    wall_ratios.push_back(wall_ratio);
     const std::string name = "e15/churn/s" + std::to_string(s);
     table.add_row({name, Table::integer(static_cast<long long>(n)),
                    Table::integer(k), Table::num(outcome.warm_rate, 2),
@@ -172,7 +178,7 @@ void churn_experiment(std::size_t scenarios, std::size_t variants) {
                        Table::integer(outcome.warm_rounds),
                    Table::integer(outcome.cold_pivots),
                    Table::integer(outcome.warm_pivots),
-                   Table::num(pivot_ratio, 2),
+                   Table::num(pivot_ratio, 2), Table::num(wall_ratio, 2),
                    Table::integer(outcome.cold_columns) + "/" +
                        Table::integer(outcome.warm_columns),
                    outcome.payload_identical ? "yes" : "NO"});
@@ -186,27 +192,27 @@ void churn_experiment(std::size_t scenarios, std::size_t variants) {
          {"cold_pivots", static_cast<double>(outcome.cold_pivots)},
          {"warm_pivots", static_cast<double>(outcome.warm_pivots)},
          {"pivot_ratio", pivot_ratio},
+         {"wall_ratio", wall_ratio},
          {"cold_columns", static_cast<double>(outcome.cold_columns)},
          {"warm_columns", static_cast<double>(outcome.warm_columns)},
          {"cold_seconds", outcome.cold_seconds},
          {"payload_identical", outcome.payload_identical ? 1.0 : 0.0}}});
   }
-  const auto median_of = [](std::vector<double> values) {
-    std::sort(values.begin(), values.end());
-    return values.empty() ? 0.0 : values[values.size() / 2];
-  };
-  const double pivot_median = median_of(pivot_ratios);
-  const double round_median = median_of(round_ratios);
+  const double pivot_median = bench::median(pivot_ratios);
+  const double round_median = bench::median(round_ratios);
+  const double wall_median = bench::median(wall_ratios);
   bench::print_experiment(
       "E15: churn stream past the explicit cap, cold vs pool-warm colgen",
       table,
       "median master-pivot ratio (cold/warm) = " +
           Table::num(pivot_median, 2) + " (roadmap target >= 2x); " +
-          "median oracle-round ratio = " + Table::num(round_median, 2));
+          "median oracle-round ratio = " + Table::num(round_median, 2) +
+          "; median wall-clock ratio = " + Table::num(wall_median, 2));
   bench::record(bench::BenchRecord{
       "e15/churn/median", 0.0, 0.0, "asymmetric-colgen",
       {{"median_pivot_ratio", pivot_median},
-       {"median_round_ratio", round_median}}});
+       {"median_round_ratio", round_median},
+       {"median_wall_ratio", wall_median}}});
 }
 
 const AsymmetricInstance& bm_instance() {

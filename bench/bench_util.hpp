@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <ctime>
 #include <fstream>
 #include <iostream>
@@ -146,6 +147,14 @@ inline void record_report(
       std::move(name), report.wall_time_seconds, report.welfare,
       report.solver_selected.empty() ? report.solver : report.solver_selected,
       std::move(extra)});
+}
+
+/// Upper median of \p values (0 when empty): the headline statistic of the
+/// per-scenario ratio columns.
+inline double median(std::vector<double> values) {
+  if (values.empty()) return 0.0;
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
 /// Prints the experiment table and a one-line verdict.

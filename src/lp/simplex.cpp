@@ -7,6 +7,14 @@
 
 namespace ssa::lp {
 
+namespace {
+
+/// Thrown by refactorize() when the LU finds the basis singular mid-solve;
+/// the entry points answer it with restart_cold().
+struct SingularBasis {};
+
+}  // namespace
+
 SimplexEngine::SimplexEngine(SimplexOptions options) : options_(options) {}
 
 void SimplexEngine::load(const LinearProgram& lp) {
@@ -15,7 +23,10 @@ void SimplexEngine::load(const LinearProgram& lp) {
   original_rows_ = m_;
   rhs_.assign(m_, 0.0);
   row_scale_.assign(m_, 1.0);
-  cols_.clear();
+  kind_.clear();
+  cost_.clear();
+  start_.assign(1, 0);
+  entries_.clear();
   structural_.clear();
   phase1_needed_ = false;
 
@@ -40,14 +51,10 @@ void SimplexEngine::load(const LinearProgram& lp) {
   // Structural columns (row-scaled, objective in internal max convention).
   const double obj_sign = original_objective_ == Objective::kMaximize ? 1.0 : -1.0;
   for (std::size_t j = 0; j < lp.num_columns(); ++j) {
-    InternalColumn col;
-    col.kind = ColKind::kStructural;
-    col.cost = obj_sign * lp.cost(j);
     for (const auto& entry : lp.column(j)) {
-      col.entries.push_back({entry.row, entry.coeff * row_scale_[entry.row]});
+      entries_.push_back({entry.row, entry.coeff * row_scale_[entry.row]});
     }
-    structural_.push_back(static_cast<int>(cols_.size()));
-    cols_.push_back(std::move(col));
+    structural_.push_back(close_column(ColKind::kStructural, obj_sign * lp.cost(j)));
   }
 
   // Slack/surplus columns and the initial basis. Rows whose slack cannot
@@ -55,84 +62,73 @@ void SimplexEngine::load(const LinearProgram& lp) {
   basis_.assign(m_, -1);
   row_aux_.assign(m_, -1);
   for (std::size_t i = 0; i < m_; ++i) {
-    if (sense[i] == RowSense::kLessEqual) {
-      InternalColumn slack;
-      slack.kind = ColKind::kSlack;
-      slack.entries = {{static_cast<int>(i), 1.0}};
-      basis_[i] = static_cast<int>(cols_.size());
-      row_aux_[i] = static_cast<int>(cols_.size());
-      cols_.push_back(std::move(slack));
-    } else if (sense[i] == RowSense::kGreaterEqual) {
-      InternalColumn surplus;
-      surplus.kind = ColKind::kSlack;
-      surplus.entries = {{static_cast<int>(i), -1.0}};
-      row_aux_[i] = static_cast<int>(cols_.size());
-      cols_.push_back(std::move(surplus));
-    }
+    if (sense[i] == RowSense::kEqual) continue;
+    const bool slack = sense[i] == RowSense::kLessEqual;
+    entries_.push_back({static_cast<int>(i), slack ? 1.0 : -1.0});
+    row_aux_[i] = close_column(ColKind::kSlack, 0.0);
+    if (slack) basis_[i] = row_aux_[i];
   }
   for (std::size_t i = 0; i < m_; ++i) {
     if (basis_[i] != -1) continue;
-    InternalColumn artificial;
-    artificial.kind = ColKind::kArtificial;
-    artificial.entries = {{static_cast<int>(i), 1.0}};
-    basis_[i] = static_cast<int>(cols_.size());
-    cols_.push_back(std::move(artificial));
+    entries_.push_back({static_cast<int>(i), 1.0});
+    basis_[i] = close_column(ColKind::kArtificial, 0.0);
     phase1_needed_ = true;
   }
 
-  position_.assign(cols_.size(), -1);
+  position_.assign(kind_.size(), -1);
   for (std::size_t i = 0; i < m_; ++i) position_[basis_[i]] = static_cast<int>(i);
-  binv_ = Matrix::identity(m_);
-  beta_ = rhs_;
-  pivots_since_refactor_ = 0;
+  slack_basis_ = basis_;
+  bland_only_ = false;
   has_solution_ = false;
 }
 
+int SimplexEngine::close_column(ColKind kind, double cost) {
+  kind_.push_back(kind);
+  cost_.push_back(cost);
+  start_.push_back(entries_.size());
+  return static_cast<int>(kind_.size()) - 1;
+}
+
 std::vector<double> SimplexEngine::phase_costs(int phase) const {
-  std::vector<double> costs(cols_.size(), 0.0);
-  for (std::size_t j = 0; j < cols_.size(); ++j) {
+  std::vector<double> costs(kind_.size(), 0.0);
+  for (std::size_t j = 0; j < kind_.size(); ++j) {
     if (phase == 1) {
-      costs[j] = cols_[j].kind == ColKind::kArtificial ? -1.0 : 0.0;
+      costs[j] = kind_[j] == ColKind::kArtificial ? -1.0 : 0.0;
     } else {
-      costs[j] = cols_[j].kind == ColKind::kStructural ? cols_[j].cost : 0.0;
+      costs[j] = kind_[j] == ColKind::kStructural ? cost_[j] : 0.0;
     }
   }
   return costs;
 }
 
-std::vector<double> SimplexEngine::ftran(const InternalColumn& col) const {
-  std::vector<double> d(m_, 0.0);
-  for (const auto& entry : col.entries) {
-    const double coeff = entry.coeff;
-    if (coeff == 0.0) continue;
-    const std::size_t row = static_cast<std::size_t>(entry.row);
-    for (std::size_t i = 0; i < m_; ++i) d[i] += coeff * binv_(i, row);
+void SimplexEngine::ftran(int j, std::vector<double>& d) {
+  d.assign(m_, 0.0);
+  for (const auto& entry : column(j)) {
+    d[static_cast<std::size_t>(entry.row)] += entry.coeff;
   }
-  return d;
+  factor_.ftran(d);
+}
+
+bool SimplexEngine::factorize_basis() {
+  basic_columns_.clear();
+  for (std::size_t i = 0; i < m_; ++i) basic_columns_.push_back(column(basis_[i]));
+  if (!factor_.factorize(basic_columns_)) return false;
+  beta_ = rhs_;
+  factor_.ftran(beta_);
+  return true;
 }
 
 void SimplexEngine::refactorize() {
-  if (m_ == 0) return;
-  Matrix basis_matrix(m_, m_, 0.0);
-  for (std::size_t i = 0; i < m_; ++i) {
-    for (const auto& entry : cols_[basis_[i]].entries) {
-      basis_matrix(static_cast<std::size_t>(entry.row), i) += entry.coeff;
-    }
-  }
-  Matrix inverse;
-  if (!invert(basis_matrix, inverse)) {
-    throw std::runtime_error("simplex: singular basis during refactorization");
-  }
-  binv_ = std::move(inverse);
-  beta_ = binv_.multiply(rhs_);
-  pivots_since_refactor_ = 0;
+  if (!factorize_basis()) throw SingularBasis{};
 }
 
 SolveStatus SimplexEngine::iterate(int phase) {
   const std::vector<double> costs = phase_costs(phase);
   const double tol = options_.tolerance;
   int consecutive_degenerate = 0;
-  bool bland = false;
+  bool bland = bland_only_;
+  std::vector<double> y(m_, 0.0);
+  std::vector<double> d(m_, 0.0);
 
   for (;;) {
     if (pivots_ >= options_.max_iterations) return SolveStatus::kIterationLimit;
@@ -143,21 +139,19 @@ SolveStatus SimplexEngine::iterate(int phase) {
     }
 
     // BTRAN: y = c_B B^-1.
-    std::vector<double> y(m_, 0.0);
-    for (std::size_t i = 0; i < m_; ++i) {
-      const double cb = costs[basis_[i]];
-      if (cb == 0.0) continue;
-      for (std::size_t j = 0; j < m_; ++j) y[j] += cb * binv_(i, j);
-    }
+    for (std::size_t i = 0; i < m_; ++i) y[i] = costs[basis_[i]];
+    factor_.btran(y);
 
     // Pricing. In phase 2 artificials may not enter.
     int entering = -1;
     double best_rc = tol;
-    for (std::size_t j = 0; j < cols_.size(); ++j) {
+    for (std::size_t j = 0; j < kind_.size(); ++j) {
       if (position_[j] >= 0) continue;
-      if (phase == 2 && cols_[j].kind == ColKind::kArtificial) continue;
+      if (phase == 2 && kind_[j] == ColKind::kArtificial) continue;
       double rc = costs[j];
-      for (const auto& entry : cols_[j].entries) rc -= y[entry.row] * entry.coeff;
+      for (std::size_t e = start_[j]; e < start_[j + 1]; ++e) {
+        rc -= y[static_cast<std::size_t>(entries_[e].row)] * entries_[e].coeff;
+      }
       if (rc > best_rc) {
         entering = static_cast<int>(j);
         best_rc = rc;
@@ -167,7 +161,7 @@ SolveStatus SimplexEngine::iterate(int phase) {
     if (entering < 0) return SolveStatus::kOptimal;
 
     // FTRAN and ratio test.
-    std::vector<double> d = ftran(cols_[entering]);
+    ftran(entering, d);
     int leaving_pos = -1;
     double theta = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < m_; ++i) {
@@ -185,8 +179,10 @@ SolveStatus SimplexEngine::iterate(int phase) {
     }
     if (leaving_pos < 0) {
       // No blocking row: unbounded in phase 2; in phase 1 the objective is
-      // bounded by 0 so this indicates numerical trouble -> refactor once.
+      // bounded by 0 so this indicates numerical trouble -> refactor once,
+      // and treat a fresh factorization that still sees a ray as singular.
       if (phase == 1) {
+        if (factor_.etas() == 0) throw SingularBasis{};
         refactorize();
         continue;
       }
@@ -195,7 +191,6 @@ SolveStatus SimplexEngine::iterate(int phase) {
 
     // Pivot.
     const int leaving_col = basis_[leaving_pos];
-    const double pivot_value = d[leaving_pos];
     const std::size_t r = static_cast<std::size_t>(leaving_pos);
 
     // Update basic values.
@@ -206,30 +201,20 @@ SolveStatus SimplexEngine::iterate(int phase) {
     }
     beta_[r] = theta;
 
-    // Eta update of B^-1.
-    const double inv_pivot = 1.0 / pivot_value;
-    for (std::size_t j = 0; j < m_; ++j) binv_(r, j) *= inv_pivot;
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (i == r) continue;
-      const double factor = d[i];
-      if (factor == 0.0) continue;
-      for (std::size_t j = 0; j < m_; ++j) binv_(i, j) -= factor * binv_(r, j);
-    }
-
+    factor_.replace(r, d);
     position_[leaving_col] = -1;
     position_[entering] = leaving_pos;
     basis_[leaving_pos] = entering;
     ++pivots_;
-    ++pivots_since_refactor_;
 
     if (theta <= tol) {
       if (++consecutive_degenerate >= options_.bland_after_stalls) bland = true;
     } else {
       consecutive_degenerate = 0;
-      bland = false;
+      bland = bland_only_;
     }
 
-    if (pivots_since_refactor_ >= options_.refactor_period) refactorize();
+    if (factor_.wants_refactor()) refactorize();
   }
 }
 
@@ -264,50 +249,83 @@ void SimplexEngine::polish_vertex(std::vector<double>& x) const {
   if (active.size() < support.size()) return;
 
   // Augmented system [A_{active,support} | b_active] in the internal row
-  // scaling -- a deterministic function of the loaded LP alone.
+  // scaling -- a deterministic function of the loaded LP alone. Each row
+  // keeps its nonzeros sorted by column; column `cols` holds the rhs.
+  // holders[c] lists the rows with an entry in column c.
   const std::size_t rows = active.size();
   const std::size_t cols = support.size();
-  Matrix system(rows, cols + 1, 0.0);
+  struct Cell {
+    std::size_t col;
+    double value;
+  };
+  std::vector<std::vector<Cell>> system(rows);
+  std::vector<std::vector<std::size_t>> holders(cols);
   for (std::size_t c = 0; c < cols; ++c) {
-    for (const auto& entry : cols_[structural_[support[c]]].entries) {
+    for (const auto& entry : column(structural_[support[c]])) {
       const int r = row_of[static_cast<std::size_t>(entry.row)];
-      if (r >= 0) system(static_cast<std::size_t>(r), c) += entry.coeff;
+      if (r < 0) continue;
+      auto& row = system[static_cast<std::size_t>(r)];
+      if (!row.empty() && row.back().col == c) {
+        row.back().value += entry.coeff;
+      } else {
+        row.push_back({c, entry.coeff});
+        holders[c].push_back(static_cast<std::size_t>(r));
+      }
     }
   }
-  for (std::size_t r = 0; r < rows; ++r) system(r, cols) = rhs_[active[r]];
+  for (std::size_t r = 0; r < rows; ++r) system[r].push_back({cols, rhs_[active[r]]});
 
   // Gauss-Jordan with deterministic partial pivoting (largest |pivot|,
-  // earliest row on exact ties). Any rank deficiency keeps the basis x.
-  std::vector<std::size_t> pivot_row(cols, 0);
-  std::size_t next = 0;
+  // earliest position on exact ties). Any rank deficiency keeps the basis
+  // x. A column is never read again once eliminated, so every row drops
+  // its entry there; each surviving entry sees exactly the operations of a
+  // dense elimination, so the values do not depend on the sparsity.
+  std::vector<std::size_t> order(rows);     // position -> row
+  std::vector<std::size_t> position(rows);  // row -> position
+  for (std::size_t r = 0; r < rows; ++r) order[r] = position[r] = r;
+  std::vector<Cell> merged;
   for (std::size_t c = 0; c < cols; ++c) {
-    std::size_t best = next;
-    double best_abs = std::abs(system(next, c));
-    for (std::size_t r = next + 1; r < rows; ++r) {
-      const double a = std::abs(system(r, c));
-      if (a > best_abs) {
+    std::size_t best = c;
+    double best_abs = 0.0;
+    for (const std::size_t row : holders[c]) {
+      const std::size_t at = position[row];
+      const double a = std::abs(system[row].front().value);
+      if (at >= c && (a > best_abs || (a == best_abs && a > 0.0 && at < best))) {
         best_abs = a;
-        best = r;
+        best = at;
       }
     }
     if (best_abs < kPivotTol) return;
-    if (best != next) {
-      for (std::size_t k = 0; k <= cols; ++k) {
-        std::swap(system(next, k), system(best, k));
+    std::swap(order[c], order[best]);
+    position[order[c]] = c;
+    position[order[best]] = best;
+    const std::size_t pivot_row = order[c];
+    auto& pivot = system[pivot_row];
+    const double inv_pivot = 1.0 / pivot.front().value;
+    for (Cell& cell : pivot) cell.value *= inv_pivot;
+    pivot.erase(pivot.begin());
+    for (const std::size_t r : holders[c]) {
+      if (r == pivot_row) continue;
+      auto& row = system[r];
+      const double factor = row.front().value;
+      if (factor == 0.0) {
+        row.erase(row.begin());
+        continue;
       }
-    }
-    const double inv_pivot = 1.0 / system(next, c);
-    for (std::size_t k = c; k <= cols; ++k) system(next, k) *= inv_pivot;
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (r == next) continue;
-      const double factor = system(r, c);
-      if (factor == 0.0) continue;
-      for (std::size_t k = c; k <= cols; ++k) {
-        system(r, k) -= factor * system(next, k);
+      merged.clear();
+      auto it = row.begin() + 1;
+      for (const Cell& p : pivot) {
+        while (it->col < p.col) merged.push_back(*it++);
+        double current = 0.0;
+        if (it->col == p.col) {
+          current = (it++)->value;
+        } else {
+          holders[p.col].push_back(r);  // fill-in (p.col < cols here)
+        }
+        merged.push_back({p.col, current - factor * p.value});
       }
+      row.swap(merged);
     }
-    pivot_row[c] = next;
-    ++next;
   }
 
   // Commit only when the canonical values agree with the basis values:
@@ -316,7 +334,7 @@ void SimplexEngine::polish_vertex(std::vector<double>& x) const {
   // answer.
   std::vector<double> polished(cols, 0.0);
   for (std::size_t c = 0; c < cols; ++c) {
-    polished[c] = std::max(0.0, system(pivot_row[c], cols));
+    polished[c] = std::max(0.0, system[order[c]].back().value);
     if (std::abs(polished[c] - x[support[c]]) > kAgreeTol) return;
   }
   for (std::size_t c = 0; c < cols; ++c) x[support[c]] = polished[c];
@@ -333,15 +351,13 @@ Solution SimplexEngine::extract_solution(SolveStatus status) {
     return solution;
   }
 
-  // Canonical extraction, step 1: rebuild the inverse from the final basis
-  // so the extracted values do not depend on the eta-update history of the
-  // pivot path. (A numerically singular basis keeps the eta state; the
-  // polish below then rejects itself through its agreement check.)
-  if (status == SolveStatus::kOptimal && m_ > 0) {
-    try {
-      refactorize();
-    } catch (const std::runtime_error&) {
-    }
+  // Canonical extraction, step 1: factorize the final basis afresh so the
+  // extracted values do not depend on the eta-update history of the pivot
+  // path. A factorization without etas already is one of the final basis.
+  // (A numerically singular basis keeps the eta state; the polish below
+  // then rejects itself through its agreement check.)
+  if (status == SolveStatus::kOptimal && factor_.etas() > 0) {
+    (void)factorize_basis();
   }
 
   for (std::size_t s = 0; s < structural_.size(); ++s) {
@@ -362,11 +378,8 @@ Solution SimplexEngine::extract_solution(SolveStatus status) {
   // in lp_model.hpp.
   const std::vector<double> costs = phase_costs(2);
   std::vector<double> y(m_, 0.0);
-  for (std::size_t i = 0; i < m_; ++i) {
-    const double cb = costs[basis_[i]];
-    if (cb == 0.0) continue;
-    for (std::size_t j = 0; j < m_; ++j) y[j] += cb * binv_(i, j);
-  }
+  for (std::size_t i = 0; i < m_; ++i) y[i] = costs[basis_[i]];
+  factor_.btran(y);
   const double sign = original_objective_ == Objective::kMaximize ? 1.0 : -1.0;
   for (std::size_t i = 0; i < original_rows_; ++i) {
     solution.duals[i] = sign * y[i] * row_scale_[i];
@@ -374,26 +387,58 @@ Solution SimplexEngine::extract_solution(SolveStatus status) {
 
   double objective = 0.0;
   for (std::size_t s = 0; s < structural_.size(); ++s) {
-    objective += cols_[structural_[s]].cost * solution.x[s];
+    objective += cost_[structural_[s]] * solution.x[s];
   }
   solution.objective = sign * objective;
   has_solution_ = status == SolveStatus::kOptimal;
   return solution;
 }
 
-Solution SimplexEngine::solve_loaded() {
+double SimplexEngine::artificial_infeasibility() const {
+  double infeasibility = 0.0;
+  for (std::size_t i = 0; i < m_; ++i) {
+    if (kind_[basis_[i]] == ColKind::kArtificial) {
+      infeasibility += std::max(0.0, beta_[i]);
+    }
+  }
+  return infeasibility;
+}
+
+SolveStatus SimplexEngine::run_phases() {
   if (phase1_needed_) {
     const SolveStatus phase1 = iterate(1);
-    if (phase1 != SolveStatus::kOptimal) return extract_solution(phase1);
-    double infeasibility = 0.0;
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (cols_[basis_[i]].kind == ColKind::kArtificial) {
-        infeasibility += std::max(0.0, beta_[i]);
-      }
-    }
-    if (infeasibility > 1e-7) return extract_solution(SolveStatus::kInfeasible);
+    if (phase1 != SolveStatus::kOptimal) return phase1;
+    if (artificial_infeasibility() > 1e-7) return SolveStatus::kInfeasible;
   }
-  return extract_solution(iterate(2));
+  return iterate(2);
+}
+
+SolveStatus SimplexEngine::restart_cold() {
+  ++restarts_;
+  basis_ = slack_basis_;
+  std::fill(position_.begin(), position_.end(), -1);
+  phase1_needed_ = false;
+  for (std::size_t i = 0; i < m_; ++i) {
+    position_[basis_[i]] = static_cast<int>(i);
+    if (kind_[basis_[i]] == ColKind::kArtificial) phase1_needed_ = true;
+  }
+  bland_only_ = true;
+  try {
+    refactorize();  // the slack basis, a unit matrix
+    return run_phases();
+  } catch (const SingularBasis&) {
+    throw std::runtime_error(
+        "simplex: singular basis after a cold restart under Bland's rule");
+  }
+}
+
+Solution SimplexEngine::solve_loaded() {
+  try {
+    refactorize();  // the slack basis, a unit matrix
+    return extract_solution(run_phases());
+  } catch (const SingularBasis&) {
+    return extract_solution(restart_cold());
+  }
 }
 
 Solution SimplexEngine::solve(const LinearProgram& lp) {
@@ -409,30 +454,30 @@ Solution SimplexEngine::solve(const LinearProgram& lp,
     load(lp);  // try_install may have half-mutated the basis state
     return solve_loaded();
   }
-  if (phase1_needed_) {
-    // Restricted phase 1: only the repair artificials installed at the
-    // violated positions carry phase-1 cost, so the drive-out touches the
-    // infeasible part of the basis and leaves the rest in place.
-    const SolveStatus phase1 = iterate(1);
-    if (phase1 == SolveStatus::kIterationLimit ||
-        phase1 == SolveStatus::kTimeLimit) {
-      return extract_solution(phase1);
-    }
-    double infeasibility = 0.0;
-    for (std::size_t i = 0; i < m_; ++i) {
-      if (cols_[basis_[i]].kind == ColKind::kArtificial) {
-        infeasibility += std::max(0.0, beta_[i]);
+  try {
+    if (phase1_needed_) {
+      // Restricted phase 1: only the repair artificials installed at the
+      // violated positions carry phase-1 cost, so the drive-out touches the
+      // infeasible part of the basis and leaves the rest in place.
+      const SolveStatus phase1 = iterate(1);
+      if (phase1 == SolveStatus::kIterationLimit ||
+          phase1 == SolveStatus::kTimeLimit) {
+        return extract_solution(phase1);
+      }
+      if (phase1 != SolveStatus::kOptimal || artificial_infeasibility() > 1e-7) {
+        // The repair could not reach feasibility from this hint; the LP may
+        // still be feasible from scratch, so the fallback owns the verdict.
+        load(lp);
+        return solve_loaded();
       }
     }
-    if (phase1 != SolveStatus::kOptimal || infeasibility > 1e-7) {
-      // The repair could not reach feasibility from this hint; the LP may
-      // still be feasible from scratch, so the fallback owns the verdict.
-      load(lp);
-      return solve_loaded();
-    }
+    const SolveStatus status = iterate(2);
+    if (warm_used) *warm_used = true;
+    return extract_solution(status);
+  } catch (const SingularBasis&) {
+    if (warm_used) *warm_used = false;  // cold from here on
+    return extract_solution(restart_cold());
   }
-  if (warm_used) *warm_used = true;
-  return extract_solution(iterate(2));
 }
 
 bool SimplexEngine::try_install(const BasisSnapshot& hint) {
@@ -467,11 +512,8 @@ bool SimplexEngine::try_install(const BasisSnapshot& hint) {
         if (entry.index < 0 || entry.index >= static_cast<std::int32_t>(m_)) {
           return false;
         }
-        InternalColumn artificial;
-        artificial.kind = ColKind::kArtificial;
-        artificial.entries = {{entry.index, 1.0}};
-        desired[i] = static_cast<int>(cols_.size());
-        cols_.push_back(std::move(artificial));
+        entries_.push_back({entry.index, 1.0});
+        desired[i] = close_column(ColKind::kArtificial, 0.0);
         position_.push_back(-1);
         break;
       }
@@ -479,59 +521,46 @@ bool SimplexEngine::try_install(const BasisSnapshot& hint) {
         return false;
     }
   }
-  std::vector<char> used(cols_.size(), 0);
+  std::vector<char> used(kind_.size(), 0);
   for (const int col : desired) {
     if (used[static_cast<std::size_t>(col)]) return false;  // duplicate
     used[static_cast<std::size_t>(col)] = 1;
   }
 
-  // Rebuild the inverse for the candidate basis; singular means the
-  // donor's basis does not span this LP's row space.
-  Matrix basis_matrix(m_, m_, 0.0);
-  for (std::size_t i = 0; i < m_; ++i) {
-    for (const auto& entry : cols_[desired[i]].entries) {
-      basis_matrix(static_cast<std::size_t>(entry.row), i) += entry.coeff;
-    }
-  }
-  Matrix inverse;
-  if (!invert(basis_matrix, inverse)) return false;
-
+  // Factorize the candidate basis; singular means the donor's basis does
+  // not span this LP's row space.
   basis_ = desired;
   std::fill(position_.begin(), position_.end(), -1);
   for (std::size_t i = 0; i < m_; ++i) {
     position_[basis_[i]] = static_cast<int>(i);
   }
-  binv_ = std::move(inverse);
-  beta_ = binv_.multiply(rhs_);
-  pivots_since_refactor_ = 0;
+  if (!factorize_basis()) return false;
 
   // Feasibility repair restricted to the violated positions: swap the
   // basic column at a negative position for its own negation, kept as an
-  // artificial. B' = B D with D = diag(1,..,-1,..,1), so the inverse needs
-  // only that row negated and the basic value flips positive; phase 1 then
+  // artificial. B' = B D with D = diag(1,..,-1,..,1), one sign-flip eta per
+  // repaired position, so the basic value flips positive; phase 1 then
   // drives exactly these artificials out.
   phase1_needed_ = false;
   for (std::size_t i = 0; i < m_; ++i) {
     if (beta_[i] >= -options_.tolerance) {
       if (beta_[i] < 0.0) beta_[i] = 0.0;
-      if (cols_[basis_[i]].kind == ColKind::kArtificial &&
+      if (kind_[basis_[i]] == ColKind::kArtificial &&
           beta_[i] > options_.tolerance) {
         phase1_needed_ = true;  // installed artificial at a positive value
       }
       continue;
     }
-    InternalColumn negated;
-    negated.kind = ColKind::kArtificial;
-    for (const auto& entry : cols_[basis_[i]].entries) {
-      negated.entries.push_back({entry.row, -entry.coeff});
+    const std::size_t source = static_cast<std::size_t>(basis_[i]);
+    for (std::size_t e = start_[source]; e < start_[source + 1]; ++e) {
+      entries_.push_back({entries_[e].row, -entries_[e].coeff});
     }
-    const int col = static_cast<int>(cols_.size());
-    cols_.push_back(std::move(negated));
+    const int col = close_column(ColKind::kArtificial, 0.0);
     position_.push_back(-1);
     position_[basis_[i]] = -1;
     basis_[i] = col;
     position_[col] = static_cast<int>(i);
-    for (std::size_t j = 0; j < m_; ++j) binv_(i, j) = -binv_(i, j);
+    factor_.negate(i);
     beta_[i] = -beta_[i];
     phase1_needed_ = true;
   }
@@ -549,7 +578,7 @@ BasisSnapshot SimplexEngine::export_basis() const {
   for (std::size_t i = 0; i < m_; ++i) {
     const int col = basis_[i];
     BasisSnapshot::Entry entry;
-    switch (cols_[col].kind) {
+    switch (kind_[col]) {
       case ColKind::kStructural: {
         const auto it =
             std::lower_bound(structural_.begin(), structural_.end(), col);
@@ -559,7 +588,7 @@ BasisSnapshot SimplexEngine::export_basis() const {
       }
       case ColKind::kSlack:
         entry.kind = BasisSnapshot::Kind::kSlack;
-        entry.index = cols_[col].entries.front().row;
+        entry.index = column(col).front().row;
         break;
       case ColKind::kArtificial:
         // Repair artificials span several rows; the canonical stand-in is
@@ -577,17 +606,15 @@ BasisSnapshot SimplexEngine::export_basis() const {
 int SimplexEngine::add_column(double cost,
                               const std::vector<ColumnEntry>& entries) {
   const double obj_sign = original_objective_ == Objective::kMaximize ? 1.0 : -1.0;
-  InternalColumn col;
-  col.kind = ColKind::kStructural;
-  col.cost = obj_sign * cost;
   for (const auto& entry : entries) {
     if (entry.row < 0 || entry.row >= static_cast<int>(original_rows_)) {
       throw std::out_of_range("SimplexEngine::add_column: bad row");
     }
-    col.entries.push_back({entry.row, entry.coeff * row_scale_[entry.row]});
   }
-  structural_.push_back(static_cast<int>(cols_.size()));
-  cols_.push_back(std::move(col));
+  for (const auto& entry : entries) {
+    entries_.push_back({entry.row, entry.coeff * row_scale_[entry.row]});
+  }
+  structural_.push_back(close_column(ColKind::kStructural, obj_sign * cost));
   position_.push_back(-1);
   return static_cast<int>(structural_.size()) - 1;
 }
@@ -596,7 +623,11 @@ Solution SimplexEngine::resolve() {
   if (!has_solution_) {
     throw std::logic_error("SimplexEngine::resolve: no prior optimal solve");
   }
-  return extract_solution(iterate(2));
+  try {
+    return extract_solution(iterate(2));
+  } catch (const SingularBasis&) {
+    return extract_solution(restart_cold());
+  }
 }
 
 Solution solve(const LinearProgram& lp, SimplexOptions options) {

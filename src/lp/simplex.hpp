@@ -1,39 +1,48 @@
 #pragma once
 /// \file simplex.hpp
-/// Two-phase revised primal simplex with a dense basis inverse.
+/// Two-phase revised primal simplex over a sparse LU basis factorization.
 ///
 /// Design notes
 ///  - All variables are non-negative; rows are <=, =, or >=. Internally the
 ///    problem is converted to max c x, A x = b, b >= 0 with slack/surplus
 ///    columns and phase-1 artificials.
-///  - The basis inverse is maintained with eta (Gauss-Jordan) updates and
-///    periodically refactorized from scratch to bound numerical drift.
+///  - The basis is held as a sparse Markowitz LU factorization plus a
+///    product-form eta file (lp/basis_factor.hpp), so FTRAN, BTRAN and the
+///    basis update cost the nonzeros of the factors, not m^2. The engine
+///    refactorizes when the eta file outgrows the LU.
 ///  - Dantzig pricing with an automatic switch to Bland's rule after a run
 ///    of degenerate pivots guarantees termination in practice.
+///  - A basis that the LU finds singular mid-solve does not fail the solve:
+///    the engine restarts once from the slack basis, cold and under Bland's
+///    rule, and throws std::runtime_error only if that run meets a singular
+///    basis too (restarts() counts the restarts).
 ///  - Columns can be appended after a solve and the engine resumes from the
 ///    current basis, which is what the column-generation loops need: adding
 ///    a column keeps the current basis primal feasible.
 ///  - An optimal basis can be exported as a BasisSnapshot and installed
-///    into a later solve of a similar LP (warm start): the engine rebuilds
-///    the basis inverse, repairs primal feasibility with a phase 1
+///    into a later solve of a similar LP (warm start): the engine factorizes
+///    the installed basis, repairs primal feasibility with a phase 1
 ///    restricted to the violated rows, and re-optimizes. Incompatible or
 ///    singular snapshots fall back to a cold solve, so a warm solve never
 ///    fails where a cold one would succeed.
-///  - Canonical extraction: at optimality the positive support's values are
-///    recomputed from the active-row system by a deterministic elimination
-///    that depends only on the LP data and the optimal vertex -- NOT on the
-///    pivot path or the final basis. Warm- and cold-started solves of the
-///    same LP therefore return bitwise-identical x and objective whenever
-///    the optimal vertex is unique (generic instances), which is what lets
-///    the serving layer reuse bases without perturbing payloads.
+///  - Canonical extraction: at optimality the final basis is factorized
+///    afresh before the basic values and duals are read, and the positive
+///    support's values are recomputed from the active-row system by a
+///    deterministic elimination that depends only on the LP data and the
+///    optimal vertex -- NOT on the pivot path or the final basis. Warm- and
+///    cold-started solves of the same LP therefore return bitwise-identical
+///    x and objective whenever the optimal vertex is unique (generic
+///    instances), which is what lets the serving layer reuse bases without
+///    perturbing payloads.
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "lp/basis_factor.hpp"
 #include "lp/lp_model.hpp"
 #include "support/deadline.hpp"
-#include "support/matrix.hpp"
 
 namespace ssa::lp {
 
@@ -42,7 +51,6 @@ namespace ssa::lp {
 struct SimplexOptions {
   double tolerance = 1e-9;        ///< feasibility/optimality tolerance
   int max_iterations = 200000;    ///< total pivot limit
-  int refactor_period = 256;      ///< pivots between basis refactorizations
   int bland_after_stalls = 64;    ///< degenerate pivots before Bland's rule
   /// Cooperative wall-clock deadline, polled every few pivots; an expired
   /// deadline makes the solve return SolveStatus::kTimeLimit. Default:
@@ -106,31 +114,49 @@ class SimplexEngine {
   /// Number of simplex pivots performed over the lifetime of the engine.
   [[nodiscard]] long long pivots() const noexcept { return pivots_; }
 
+  /// Number of cold restarts from the slack basis after the LU found the
+  /// basis singular mid-solve, over the lifetime of the engine.
+  [[nodiscard]] long long restarts() const noexcept { return restarts_; }
+
  private:
   enum class ColKind { kStructural, kSlack, kArtificial };
 
-  struct InternalColumn {
-    double cost = 0.0;  // phase-2 objective (internal max convention)
-    std::vector<ColumnEntry> entries;  // row-scaled
-    ColKind kind = ColKind::kStructural;
-  };
-
   void load(const LinearProgram& lp);
-  void append_internal_structural(double cost,
-                                  const std::vector<ColumnEntry>& entries);
+  /// Closes the internal column whose entries were just appended to
+  /// entries_; returns its index.
+  int close_column(ColKind kind, double cost);
+  [[nodiscard]] std::span<const ColumnEntry> column(int j) const {
+    return {entries_.data() + start_[static_cast<std::size_t>(j)],
+            entries_.data() + start_[static_cast<std::size_t>(j) + 1]};
+  }
   [[nodiscard]] std::vector<double> phase_costs(int phase) const;
   /// Runs primal simplex pivots for the given phase. Returns status.
   SolveStatus iterate(int phase);
+  /// Factorizes the current basis and recomputes beta_ from it; false (state
+  /// unchanged) when the LU finds the basis singular.
+  [[nodiscard]] bool factorize_basis();
+  /// factorize_basis() for mid-solve use: a singular basis throws the
+  /// internal signal that restart_cold() answers.
   void refactorize();
-  [[nodiscard]] std::vector<double> ftran(const InternalColumn& col) const;
+  /// d := B^-1 a_j for internal column \p j (position-indexed).
+  void ftran(int j, std::vector<double>& d);
   Solution extract_solution(SolveStatus status);
+  /// Phase 1 (when artificials carry cost), then phase 2, from the current
+  /// basis.
+  SolveStatus run_phases();
+  /// The singular-basis contract: restarts once from the slack basis,
+  /// cold and under Bland's rule; a second singular basis throws
+  /// std::runtime_error.
+  SolveStatus restart_cold();
+  /// Sum of the basic artificial values (phase-1 infeasibility).
+  [[nodiscard]] double artificial_infeasibility() const;
   /// Cold solve of the already-loaded problem (phase 1 if needed, phase 2).
   Solution solve_loaded();
   /// Installs \p hint as the starting basis of the loaded problem,
-  /// rebuilding the inverse and repairing infeasible positions with
-  /// restricted artificials. False when the snapshot is incompatible or
-  /// its basis matrix is singular (engine state is then unspecified;
-  /// callers reload and solve cold).
+  /// factorizing it and repairing infeasible positions with restricted
+  /// artificials. False when the snapshot is incompatible or its basis
+  /// matrix is singular (engine state is then unspecified; callers reload
+  /// and solve cold).
   [[nodiscard]] bool try_install(const BasisSnapshot& hint);
   /// Deterministic recomputation of the optimal x from the active-row
   /// system; basis-independent (see the file comment). Requires an optimal
@@ -144,20 +170,28 @@ class SimplexEngine {
   std::size_t m_ = 0;                       // rows
   std::vector<double> rhs_;                 // b >= 0
   std::vector<double> row_scale_;           // +-1 applied to original rows
-  std::vector<InternalColumn> cols_;        // structural, then slack, artificial
+  // Internal columns (structural, then slack, artificial), stored flat:
+  // column j holds entries_[start_[j], start_[j + 1]), row-scaled.
+  std::vector<ColKind> kind_;
+  std::vector<double> cost_;                // phase-2 objective (internal max)
+  std::vector<std::size_t> start_;
+  std::vector<ColumnEntry> entries_;
   std::vector<int> structural_;             // indices of structural columns
   std::vector<int> row_aux_;                // slack/surplus column per row, -1 if none
+  std::vector<int> slack_basis_;            // the basis load() starts from
   std::size_t original_rows_ = 0;
 
   // Basis state.
   std::vector<int> basis_;      // column index per row
   std::vector<int> position_;   // row position per column, -1 if non-basic
-  Matrix binv_;
+  BasisFactor factor_;
   std::vector<double> beta_;    // basic variable values
   long long pivots_ = 0;
-  int pivots_since_refactor_ = 0;
+  long long restarts_ = 0;
   bool has_solution_ = false;
   bool phase1_needed_ = false;
+  bool bland_only_ = false;     // set by restart_cold() until the next load()
+  std::vector<std::span<const ColumnEntry>> basic_columns_;  // factorize scratch
 };
 
 /// One-shot convenience wrapper.

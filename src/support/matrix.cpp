@@ -8,12 +8,6 @@ namespace ssa {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
 std::vector<double> Matrix::multiply(std::span<const double> x) const {
   if (x.size() != cols_) throw std::invalid_argument("Matrix::multiply: size");
   std::vector<double> y(rows_, 0.0);
@@ -55,41 +49,6 @@ bool solve_linear_system(Matrix a, std::vector<double> b,
     double acc = b[ri];
     for (std::size_t c = ri + 1; c < n; ++c) acc -= a(ri, c) * x[c];
     x[ri] = acc / a(ri, ri);
-  }
-  return true;
-}
-
-bool invert(const Matrix& a, Matrix& inverse) {
-  const std::size_t n = a.rows();
-  if (a.cols() != n) throw std::invalid_argument("invert: non-square");
-  Matrix work = a;
-  inverse = Matrix::identity(n);
-  for (std::size_t col = 0; col < n; ++col) {
-    std::size_t pivot = col;
-    for (std::size_t r = col + 1; r < n; ++r) {
-      if (std::abs(work(r, col)) > std::abs(work(pivot, col))) pivot = r;
-    }
-    if (std::abs(work(pivot, col)) < 1e-12) return false;
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) {
-        std::swap(work(pivot, c), work(col, c));
-        std::swap(inverse(pivot, c), inverse(col, c));
-      }
-    }
-    const double inv = 1.0 / work(col, col);
-    for (std::size_t c = 0; c < n; ++c) {
-      work(col, c) *= inv;
-      inverse(col, c) *= inv;
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      if (r == col) continue;
-      const double factor = work(r, col);
-      if (factor == 0.0) continue;
-      for (std::size_t c = 0; c < n; ++c) {
-        work(r, c) -= factor * work(col, c);
-        inverse(r, c) -= factor * inverse(col, c);
-      }
-    }
   }
   return true;
 }

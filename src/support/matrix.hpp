@@ -1,9 +1,9 @@
 #pragma once
 /// \file matrix.hpp
-/// Small dense linear-algebra kernels shared by the simplex solver and the
-/// SINR power-control substrate: row-major matrices, Gaussian elimination
-/// with partial pivoting, and the power method for spectral radii of
-/// non-negative matrices (Perron-Frobenius).
+/// Small dense linear-algebra kernels for the SINR power-control substrate:
+/// row-major matrices, Gaussian elimination with partial pivoting, and the
+/// power method for spectral radii of non-negative matrices
+/// (Perron-Frobenius).
 
 #include <cstddef>
 #include <span>
@@ -34,8 +34,6 @@ class Matrix {
     return {data_.data() + r * cols_, cols_};
   }
 
-  [[nodiscard]] static Matrix identity(std::size_t n);
-
   /// y = A * x. Requires x.size() == cols().
   [[nodiscard]] std::vector<double> multiply(std::span<const double> x) const;
 
@@ -49,9 +47,6 @@ class Matrix {
 /// Returns false when A is (numerically) singular.
 [[nodiscard]] bool solve_linear_system(Matrix a, std::vector<double> b,
                                        std::vector<double>& x);
-
-/// Inverts A in place via Gauss-Jordan; returns false when singular.
-[[nodiscard]] bool invert(const Matrix& a, Matrix& inverse);
 
 /// Spectral radius of a non-negative square matrix by the power method.
 /// For the (irreducible) gain matrices in SINR feasibility the iteration

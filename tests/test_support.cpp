@@ -201,28 +201,6 @@ TEST(Matrix, SingularDetected) {
   EXPECT_FALSE(solve_linear_system(a, {1.0, 2.0}, x));
 }
 
-TEST(Matrix, InvertRoundTrip) {
-  Matrix a(3, 3);
-  a(0, 0) = 4;
-  a(0, 1) = 1;
-  a(1, 0) = 2;
-  a(1, 1) = 3;
-  a(1, 2) = 1;
-  a(2, 2) = 5;
-  Matrix inv;
-  ASSERT_TRUE(invert(a, inv));
-  // a * inv = I.
-  for (std::size_t i = 0; i < 3; ++i) {
-    std::vector<double> e(3, 0.0);
-    for (std::size_t c = 0; c < 3; ++c) {
-      for (std::size_t k = 0; k < 3; ++k) e[c] += a(i, k) * inv(k, c);
-    }
-    for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_NEAR(e[c], i == c ? 1.0 : 0.0, 1e-10);
-    }
-  }
-}
-
 TEST(Matrix, SpectralRadiusOfKnownMatrices) {
   // [[0, 1], [1, 0]] has radius 1; 0.5x it has radius 0.5.
   Matrix a(2, 2);
