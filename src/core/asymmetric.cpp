@@ -5,10 +5,9 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/best_rounds.hpp"
+#include "core/sampling_plan.hpp"
 #include "graph/inductive_independence.hpp"
 #include "lp/simplex.hpp"
-#include "support/parallel.hpp"
 
 namespace ssa {
 
@@ -133,75 +132,80 @@ FractionalSolution solve_asymmetric_lp(const AsymmetricInstance& instance,
   return result;
 }
 
-Allocation round_asymmetric(const AsymmetricInstance& instance,
-                            const FractionalSolution& fractional, Rng& rng) {
+namespace {
+
+/// The Section 6 plan: every column in one half at the 1/(2 k rho) scale.
+detail::SamplingPlan asymmetric_plan(const AsymmetricInstance& instance,
+                                     const FractionalSolution& fractional) {
   if (!instance.unweighted()) {
     throw std::invalid_argument(
         "round_asymmetric: unweighted per-channel graphs only");
   }
-  const std::size_t n = instance.num_bidders();
-  const int k = instance.num_channels();
-  const double denominator = 2.0 * static_cast<double>(k) * instance.rho();
-
-  // Rounding stage: one draw per bidder over its fractional columns.
-  std::vector<std::vector<const FractionalColumn*>> by_bidder(n);
-  for (const FractionalColumn& column : fractional.columns) {
-    by_bidder[static_cast<std::size_t>(column.bidder)].push_back(&column);
+  detail::SamplingPlan plan(
+      fractional, instance.num_bidders(),
+      2.0 * static_cast<double>(instance.num_channels()) * instance.rho(), 0);
+  for (std::size_t j = 0; j < plan.value.size(); ++j) {
+    const auto v = static_cast<std::size_t>(plan.bidder[j]);
+    plan.value[j] = instance.value(v, plan.bundle[j]);
   }
-  Allocation allocation;
-  allocation.bundles.assign(n, kEmptyBundle);
-  for (std::size_t v = 0; v < n; ++v) {
-    const double u = rng.uniform();
-    double cumulative = 0.0;
-    for (const FractionalColumn* column : by_bidder[v]) {
-      cumulative += column->x / denominator;
-      if (u < cumulative) {
-        allocation.bundles[v] = column->bundle;
-        break;
-      }
-    }
-  }
+  return plan;
+}
 
-  // Conflict resolution, ascending pi: as in Algorithm 1, a conflict with a
-  // kept earlier vertex on ANY channel j of v's bundle drops v's ENTIRE
-  // bundle (not just channel j). This is deliberate -- see the contract in
-  // asymmetric.hpp: per-channel trimming would leave sub-bundles the
-  // survival analysis never values, so the whole set is charged.
-  for (int v : instance.order()) {
-    const std::size_t sv = static_cast<std::size_t>(v);
-    if (allocation.bundles[sv] == kEmptyBundle) continue;
-    bool removed = false;
-    for (int j = 0; !removed && j < k; ++j) {
-      if (!bundle_has(allocation.bundles[sv], j)) continue;
-      const auto& graph = instance.graph(j);
-      for (int u : graph.neighbors(sv)) {
-        const std::size_t su = static_cast<std::size_t>(u);
-        if (instance.positions()[su] < instance.positions()[sv] &&
-            bundle_has(allocation.bundles[su], j)) {
-          allocation.bundles[sv] = kEmptyBundle;
-          removed = true;
-          break;
+/// One pass: one draw per bidder, then conflict resolution in ascending pi.
+/// As in Algorithm 1, a conflict with a kept earlier vertex on ANY channel
+/// j of v's bundle drops v's ENTIRE bundle (not just channel j). This is
+/// deliberate -- see the contract in asymmetric.hpp: per-channel trimming
+/// would leave sub-bundles the survival analysis never values, so the
+/// whole set is charged.
+double asymmetric_pass(const AsymmetricInstance& instance,
+                       const detail::SamplingPlan& plan, Rng& rng,
+                       detail::PassScratch& s) {
+  detail::draw_uniforms(plan, rng, s);
+  return detail::round_halves(plan, 0, s, [&](std::vector<Bundle>& bundles) {
+    for (int v : instance.order()) {
+      const std::size_t sv = static_cast<std::size_t>(v);
+      if (bundles[sv] == kEmptyBundle) continue;
+      bool removed = false;
+      for (int j = 0; !removed && j < instance.num_channels(); ++j) {
+        if (!bundle_has(bundles[sv], j)) continue;
+        for (int u : instance.graph(j).neighbors(sv)) {
+          const std::size_t su = static_cast<std::size_t>(u);
+          if (instance.positions()[su] < instance.positions()[sv] &&
+              bundle_has(bundles[su], j)) {
+            bundles[sv] = kEmptyBundle;
+            removed = true;
+            break;
+          }
         }
       }
     }
-  }
-  return allocation;
+  });
+}
+
+}  // namespace
+
+Allocation round_asymmetric(const AsymmetricInstance& instance,
+                            const FractionalSolution& fractional, Rng& rng) {
+  const detail::SamplingPlan plan = asymmetric_plan(instance, fractional);
+  detail::PassScratch s(instance.num_bidders());
+  (void)asymmetric_pass(instance, plan, rng, s);
+  return Allocation{std::move(s.result)};
 }
 
 Allocation best_asymmetric_rounds(const AsymmetricInstance& instance,
                                   const FractionalSolution& fractional,
                                   int repetitions, std::uint64_t seed,
                                   const Deadline& deadline, bool* timed_out) {
-  // round_asymmetric's domain check, hoisted out of the parallel loop: an
+  // Built before the parallel loop, so its domain check throws here: an
   // exception may not escape an OpenMP worker.
-  if (!instance.unweighted()) {
-    throw std::invalid_argument(
-        "round_asymmetric: unweighted per-channel graphs only");
-  }
+  const detail::SamplingPlan plan = asymmetric_plan(instance, fractional);
+  Rng base(seed);
   return detail::best_rounds(
-      instance.num_bidders(), repetitions, seed, deadline, timed_out,
-      [&](Rng& rng) { return round_asymmetric(instance, fractional, rng); },
-      [&](const Allocation& a) { return instance.welfare(a); });
+      instance.num_bidders(), repetitions, deadline, timed_out,
+      [&](std::int64_t r, detail::PassScratch& s) {
+        Rng rng = base.split(static_cast<std::uint64_t>(r));
+        return asymmetric_pass(instance, plan, rng, s);
+      });
 }
 
 namespace {

@@ -4,71 +4,26 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/best_rounds.hpp"
-#include "support/parallel.hpp"
+#include "core/sampling_plan.hpp"
 
 namespace ssa {
 
 namespace {
 
-/// Fractional columns of one bidder restricted to one decomposition half.
-struct BidderDistribution {
-  std::vector<Bundle> bundles;
-  std::vector<double> cumulative;  ///< running sums of x_{v,T} / denominator
-};
-
-/// Builds, for l in {0, 1}, the per-bidder sampling distributions of the
-/// decomposed solution x^(l): l = 0 keeps |T| <= sqrt(k), l = 1 the rest.
-std::vector<std::vector<BidderDistribution>> decompose(
-    const AuctionInstance& instance, const FractionalSolution& fractional,
-    double denominator) {
-  const double sqrt_k = std::sqrt(static_cast<double>(instance.num_channels()));
-  std::vector<std::vector<BidderDistribution>> halves(
-      2, std::vector<BidderDistribution>(instance.num_bidders()));
-  for (const FractionalColumn& column : fractional.columns) {
-    const int half = bundle_size(column.bundle) <= sqrt_k + 1e-12 ? 0 : 1;
-    BidderDistribution& dist =
-        halves[half][static_cast<std::size_t>(column.bidder)];
-    const double previous = dist.cumulative.empty() ? 0.0 : dist.cumulative.back();
-    dist.bundles.push_back(column.bundle);
-    dist.cumulative.push_back(previous + column.x / denominator);
-  }
-  return halves;
-}
-
-/// Samples a bundle from a cumulative distribution with uniform value u.
-Bundle sample(const BidderDistribution& dist, double u) {
-  for (std::size_t i = 0; i < dist.cumulative.size(); ++i) {
-    if (u < dist.cumulative[i]) return dist.bundles[i];
-  }
-  return kEmptyBundle;
-}
-
-/// Tentative allocation for one decomposition half from per-vertex uniforms.
-Allocation rounding_stage(const std::vector<BidderDistribution>& dists,
-                          std::span<const double> uniforms) {
-  Allocation allocation;
-  allocation.bundles.resize(dists.size(), kEmptyBundle);
-  for (std::size_t v = 0; v < dists.size(); ++v) {
-    allocation.bundles[v] = sample(dists[v], uniforms[v]);
-  }
-  return allocation;
-}
-
 /// Algorithm 1 conflict resolution: keep a vertex only when no kept
 /// pi-earlier neighbor shares a channel.
 void resolve_conflicts_unweighted(const AuctionInstance& instance,
-                                  Allocation& allocation) {
+                                  std::vector<Bundle>& bundles) {
   const auto& graph = instance.graph();
   const auto& position = instance.positions();
   for (int v : instance.order()) {  // ascending pi
     const std::size_t sv = static_cast<std::size_t>(v);
-    if (allocation.bundles[sv] == kEmptyBundle) continue;
+    if (bundles[sv] == kEmptyBundle) continue;
     for (int u : graph.neighbors(sv)) {
       const std::size_t su = static_cast<std::size_t>(u);
       if (position[su] < position[sv] &&
-          (allocation.bundles[su] & allocation.bundles[sv]) != kEmptyBundle) {
-        allocation.bundles[sv] = kEmptyBundle;
+          (bundles[su] & bundles[sv]) != kEmptyBundle) {
+        bundles[sv] = kEmptyBundle;
         break;
       }
     }
@@ -79,55 +34,122 @@ void resolve_conflicts_unweighted(const AuctionInstance& instance,
 /// symmetric weight from kept pi-earlier vertices sharing a channel reaches
 /// 1/2 (Condition (5)).
 void resolve_conflicts_partial(const AuctionInstance& instance,
-                               Allocation& allocation) {
+                               std::vector<Bundle>& bundles) {
   const auto& graph = instance.graph();
   const auto& position = instance.positions();
   for (int v : instance.order()) {  // ascending pi
     const std::size_t sv = static_cast<std::size_t>(v);
-    if (allocation.bundles[sv] == kEmptyBundle) continue;
+    if (bundles[sv] == kEmptyBundle) continue;
     double incoming = 0.0;
     for (int u : graph.neighbors(sv)) {
       const std::size_t su = static_cast<std::size_t>(u);
       if (position[su] < position[sv] &&
-          (allocation.bundles[su] & allocation.bundles[sv]) != kEmptyBundle) {
+          (bundles[su] & bundles[sv]) != kEmptyBundle) {
         incoming += graph.coupling_weight(su, sv);
       }
     }
-    if (incoming >= 0.5) allocation.bundles[sv] = kEmptyBundle;
+    if (incoming >= 0.5) bundles[sv] = kEmptyBundle;
   }
 }
 
-/// Shared skeleton of Algorithms 1 and 2: round both decomposition halves
-/// with the given per-vertex uniforms, resolve, return the better result.
-template <typename Resolver>
-Allocation round_with_uniforms(const AuctionInstance& instance,
-                               const FractionalSolution& fractional,
-                               double denominator,
-                               std::span<const double> uniforms_half0,
-                               std::span<const double> uniforms_half1,
-                               const Resolver& resolve) {
-  const auto halves = decompose(instance, fractional, denominator);
-  Allocation best;
-  best.bundles.assign(instance.num_bidders(), kEmptyBundle);
-  double best_welfare = -1.0;
-  for (int half = 0; half < 2; ++half) {
-    Allocation candidate = rounding_stage(
-        halves[static_cast<std::size_t>(half)],
-        half == 0 ? uniforms_half0 : uniforms_half1);
-    resolve(instance, candidate);
-    const double welfare = instance.welfare(candidate);
+/// Algorithm 3 on the partly-feasible s.result (bidder values in
+/// s.result_values): replaces it with the best of its feasible candidates
+/// and returns that welfare. Uses s.bundles, s.spare and s.remaining.
+double finalize_result(const AuctionInstance& instance,
+                       detail::PassScratch& s) {
+  const std::size_t n = instance.num_bidders();
+  const auto& graph = instance.graph();
+  std::vector<Bundle>& best = s.bundles;
+  std::vector<Bundle>& candidate = s.spare;
+
+  // Remaining pool V' (vertices not yet placed in any candidate).
+  std::size_t remaining_count = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    s.remaining[v] = s.result[v] != kEmptyBundle;
+    remaining_count += s.remaining[v] ? 1 : 0;
+  }
+  std::fill(best.begin(), best.end(), kEmptyBundle);
+  double best_welfare = 0.0;
+
+  const int iteration_cap =
+      static_cast<int>(std::ceil(std::log2(std::max<std::size_t>(n, 2)))) + 4;
+  for (int iteration = 0; iteration < iteration_cap && remaining_count > 0;
+       ++iteration) {
+    for (std::size_t v = 0; v < n; ++v) {
+      candidate[v] = s.remaining[v] ? s.result[v] : kEmptyBundle;
+    }
+    const std::size_t before = remaining_count;
+    // Descending-pi processing order.
+    for (auto it = instance.order().rbegin(); it != instance.order().rend();
+         ++it) {
+      const std::size_t sv = static_cast<std::size_t>(*it);
+      if (!s.remaining[sv] || candidate[sv] == kEmptyBundle) continue;
+      double incoming = 0.0;
+      for (int u : graph.neighbors(sv)) {
+        const std::size_t su = static_cast<std::size_t>(u);
+        if ((candidate[su] & candidate[sv]) != kEmptyBundle) {
+          incoming += graph.coupling_weight(su, sv);
+        }
+      }
+      if (incoming < 1.0) {
+        s.remaining[sv] = 0;  // v is served by this candidate
+        --remaining_count;
+      } else {
+        candidate[sv] = kEmptyBundle;  // retry in a later candidate
+      }
+    }
+    if (remaining_count == before) break;  // not partly feasible; stop safely
+    const double welfare = detail::welfare_of(candidate, s.result_values);
     if (welfare > best_welfare) {
       best_welfare = welfare;
-      best = std::move(candidate);
+      best.swap(candidate);
     }
   }
-  return best;
+  s.result.swap(best);
+  return best_welfare;
 }
 
-std::vector<double> draw_uniforms(Rng& rng, std::size_t n) {
-  std::vector<double> uniforms(n);
-  for (double& u : uniforms) u = rng.uniform();
-  return uniforms;
+/// How far a symmetric pass goes.
+enum class Stage { kAlgorithm1, kAlgorithm2, kAlgorithms2And3 };
+
+Stage full_stage(const AuctionInstance& instance) {
+  return instance.unweighted() ? Stage::kAlgorithm1 : Stage::kAlgorithms2And3;
+}
+
+/// The paper's scaling: 2 sqrt(k) rho for Algorithm 1, 4 sqrt(k) rho for
+/// Algorithm 2.
+double default_denominator(const AuctionInstance& instance, Stage stage) {
+  return (stage == Stage::kAlgorithm1 ? 2.0 : 4.0) *
+         std::sqrt(static_cast<double>(instance.num_channels())) *
+         instance.rho();
+}
+
+/// One pass over the uniforms already in s (see detail::round_halves for
+/// \p stride); leaves the allocation in s.result and returns its welfare.
+double symmetric_pass(const AuctionInstance& instance,
+                      const detail::SamplingPlan& plan, std::size_t stride,
+                      Stage stage, detail::PassScratch& s) {
+  const double welfare =
+      detail::round_halves(plan, stride, s, [&](std::vector<Bundle>& b) {
+        stage == Stage::kAlgorithm1 ? resolve_conflicts_unweighted(instance, b)
+                                    : resolve_conflicts_partial(instance, b);
+      });
+  return stage == Stage::kAlgorithms2And3 ? finalize_result(instance, s)
+                                          : welfare;
+}
+
+/// One pass of \p stage drawing from \p rng (the single-pass entry points).
+Allocation round_single(const AuctionInstance& instance,
+                        const FractionalSolution& fractional, Rng& rng,
+                        Stage stage, double scale_denominator) {
+  const detail::SamplingPlan plan = sampling_plan(
+      instance, fractional,
+      scale_denominator > 0.0 ? scale_denominator
+                              : default_denominator(instance, stage));
+  detail::PassScratch s(instance.num_bidders());
+  detail::draw_uniforms(plan, rng, s);
+  (void)symmetric_pass(instance, plan, instance.num_bidders(), stage, s);
+  return Allocation{std::move(s.result)};
 }
 
 }  // namespace
@@ -138,29 +160,15 @@ Allocation round_unweighted(const AuctionInstance& instance,
   if (!instance.unweighted()) {
     throw std::invalid_argument("round_unweighted: instance has edge weights");
   }
-  const double denominator =
-      scale_denominator > 0.0
-          ? scale_denominator
-          : 2.0 * std::sqrt(static_cast<double>(instance.num_channels())) *
-                instance.rho();
-  const auto u0 = draw_uniforms(rng, instance.num_bidders());
-  const auto u1 = draw_uniforms(rng, instance.num_bidders());
-  return round_with_uniforms(instance, fractional, denominator, u0, u1,
-                             resolve_conflicts_unweighted);
+  return round_single(instance, fractional, rng, Stage::kAlgorithm1,
+                      scale_denominator);
 }
 
 Allocation round_weighted_partial(const AuctionInstance& instance,
                                   const FractionalSolution& fractional,
                                   Rng& rng, double scale_denominator) {
-  const double denominator =
-      scale_denominator > 0.0
-          ? scale_denominator
-          : 4.0 * std::sqrt(static_cast<double>(instance.num_channels())) *
-                instance.rho();
-  const auto u0 = draw_uniforms(rng, instance.num_bidders());
-  const auto u1 = draw_uniforms(rng, instance.num_bidders());
-  return round_with_uniforms(instance, fractional, denominator, u0, u1,
-                             resolve_conflicts_partial);
+  return round_single(instance, fractional, rng, Stage::kAlgorithm2,
+                      scale_denominator);
 }
 
 bool is_partly_feasible(const AuctionInstance& instance,
@@ -184,122 +192,75 @@ bool is_partly_feasible(const AuctionInstance& instance,
 
 Allocation finalize_partial(const AuctionInstance& instance,
                             const Allocation& partial) {
-  const std::size_t n = instance.num_bidders();
-  const auto& graph = instance.graph();
-
-  // Remaining pool V' (vertices not yet placed in any candidate).
-  std::vector<bool> remaining(n, false);
-  std::size_t remaining_count = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (partial.bundles[v] != kEmptyBundle) {
-      remaining[v] = true;
-      ++remaining_count;
-    }
+  detail::PassScratch s(instance.num_bidders());
+  s.result = partial.bundles;
+  for (std::size_t v = 0; v < s.result.size(); ++v) {
+    if (s.result[v] == kEmptyBundle) continue;
+    s.result_values[v] = instance.value(v, s.result[v]);
   }
-
-  // Descending-pi processing order.
-  std::vector<int> descending(instance.order().rbegin(),
-                              instance.order().rend());
-
-  Allocation best;
-  best.bundles.assign(n, kEmptyBundle);
-  double best_welfare = instance.welfare(best);
-
-  const int iteration_cap =
-      static_cast<int>(std::ceil(std::log2(std::max<std::size_t>(n, 2)))) + 4;
-  for (int iteration = 0; iteration < iteration_cap && remaining_count > 0;
-       ++iteration) {
-    Allocation candidate;
-    candidate.bundles.assign(n, kEmptyBundle);
-    for (std::size_t v = 0; v < n; ++v) {
-      if (remaining[v]) candidate.bundles[v] = partial.bundles[v];
-    }
-    const std::size_t before = remaining_count;
-    for (int v : descending) {
-      const std::size_t sv = static_cast<std::size_t>(v);
-      if (!remaining[sv] || candidate.bundles[sv] == kEmptyBundle) continue;
-      double incoming = 0.0;
-      for (int u : graph.neighbors(sv)) {
-        const std::size_t su = static_cast<std::size_t>(u);
-        if ((candidate.bundles[su] & candidate.bundles[sv]) != kEmptyBundle) {
-          incoming += graph.coupling_weight(su, sv);
-        }
-      }
-      if (incoming < 1.0) {
-        remaining[sv] = false;  // v is served by this candidate
-        --remaining_count;
-      } else {
-        candidate.bundles[sv] = kEmptyBundle;  // retry in a later candidate
-      }
-    }
-    if (remaining_count == before) break;  // not partly feasible; stop safely
-    const double welfare = instance.welfare(candidate);
-    if (welfare > best_welfare) {
-      best_welfare = welfare;
-      best = std::move(candidate);
-    }
-  }
-  return best;
+  (void)finalize_result(instance, s);
+  return Allocation{std::move(s.result)};
 }
 
 Allocation round_once(const AuctionInstance& instance,
                       const FractionalSolution& fractional, Rng& rng) {
-  if (instance.unweighted()) {
-    return round_unweighted(instance, fractional, rng);
+  return round_single(instance, fractional, rng, full_stage(instance), 0.0);
+}
+
+detail::SamplingPlan sampling_plan(const AuctionInstance& instance,
+                                   const FractionalSolution& fractional,
+                                   double scale_denominator) {
+  detail::SamplingPlan plan(
+      fractional, instance.num_bidders(),
+      scale_denominator > 0.0
+          ? scale_denominator
+          : default_denominator(instance, full_stage(instance)),
+      instance.num_channels());
+  for (std::size_t j = 0; j < plan.value.size(); ++j) {
+    const auto v = static_cast<std::size_t>(plan.bidder[j]);
+    plan.value[j] = instance.value(v, plan.bundle[j]);
   }
-  return finalize_partial(instance,
-                          round_weighted_partial(instance, fractional, rng));
+  return plan;
 }
 
 Allocation best_of_rounds(const AuctionInstance& instance,
                           const FractionalSolution& fractional,
                           int repetitions, std::uint64_t seed,
                           const Deadline& deadline, bool* timed_out) {
+  return best_of_rounds(instance, sampling_plan(instance, fractional),
+                        repetitions, seed, deadline, timed_out);
+}
+
+Allocation best_of_rounds(const AuctionInstance& instance,
+                          const detail::SamplingPlan& plan, int repetitions,
+                          std::uint64_t seed, const Deadline& deadline,
+                          bool* timed_out) {
+  Rng base(seed);
+  const Stage stage = full_stage(instance);
   return detail::best_rounds(
-      instance.num_bidders(), repetitions, seed, deadline, timed_out,
-      [&](Rng& rng) { return round_once(instance, fractional, rng); },
-      [&](const Allocation& a) { return instance.welfare(a); });
+      instance.num_bidders(), repetitions, deadline, timed_out,
+      [&](std::int64_t r, detail::PassScratch& s) {
+        Rng rng = base.split(static_cast<std::uint64_t>(r));
+        detail::draw_uniforms(plan, rng, s);
+        return symmetric_pass(instance, plan, instance.num_bidders(), stage,
+                              s);
+      });
 }
 
 Allocation derandomized_round(const AuctionInstance& instance,
                               const FractionalSolution& fractional,
                               const PairwiseFamily& family) {
-  const std::size_t n = instance.num_bidders();
-  const double sqrt_k = std::sqrt(static_cast<double>(instance.num_channels()));
-  const double denominator = (instance.unweighted() ? 2.0 : 4.0) * sqrt_k *
-                             instance.rho();
-  const std::uint64_t seeds = family.seed_count();
-
-  std::vector<double> welfare(seeds, 0.0);
-  parallel_for(static_cast<std::ptrdiff_t>(seeds), [&](std::ptrdiff_t s) {
-    const std::vector<double> uniforms =
-        family.values(static_cast<std::uint64_t>(s), n);
-    Allocation allocation;
-    if (instance.unweighted()) {
-      allocation = round_with_uniforms(instance, fractional, denominator,
-                                       uniforms, uniforms,
-                                       resolve_conflicts_unweighted);
-    } else {
-      allocation = finalize_partial(
-          instance,
-          round_with_uniforms(instance, fractional, denominator, uniforms,
-                              uniforms, resolve_conflicts_partial));
-    }
-    welfare[static_cast<std::size_t>(s)] = instance.welfare(allocation);
-  });
-
-  std::uint64_t best_seed = 0;
-  for (std::uint64_t s = 1; s < seeds; ++s) {
-    if (welfare[s] > welfare[best_seed]) best_seed = s;
-  }
-  const std::vector<double> uniforms = family.values(best_seed, n);
-  if (instance.unweighted()) {
-    return round_with_uniforms(instance, fractional, denominator, uniforms,
-                               uniforms, resolve_conflicts_unweighted);
-  }
-  return finalize_partial(
-      instance, round_with_uniforms(instance, fractional, denominator, uniforms,
-                                    uniforms, resolve_conflicts_partial));
+  const detail::SamplingPlan plan = sampling_plan(instance, fractional);
+  const Stage stage = full_stage(instance);
+  return detail::best_rounds(
+      instance.num_bidders(),
+      static_cast<std::int64_t>(family.seed_count()), Deadline{}, nullptr,
+      [&](std::int64_t seed, detail::PassScratch& s) {
+        for (std::size_t v = 0; v < instance.num_bidders(); ++v) {
+          s.uniforms[v] = family.value(static_cast<std::uint64_t>(seed), v);
+        }
+        return symmetric_pass(instance, plan, 0, stage, s);  // one draw
+      });
 }
 
 }  // namespace ssa

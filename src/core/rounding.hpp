@@ -15,6 +15,7 @@
 ///
 /// On top: best-of-R Monte-Carlo wrapper (parallelized) and the
 /// deterministic pairwise-independent-seed variant mentioned in Section 5.
+/// Every entry point runs the one kernel of core/sampling_plan.hpp.
 
 #include <cstdint>
 
@@ -25,6 +26,10 @@
 #include "support/random.hpp"
 
 namespace ssa {
+
+namespace detail {
+struct SamplingPlan;
+}  // namespace detail
 
 /// Algorithm 1. Requires an unweighted instance. \p scale_denominator
 /// overrides the 2*sqrt(k)*rho scaling when positive (the asymmetric
@@ -63,6 +68,19 @@ namespace ssa {
 /// reported, never silent.
 [[nodiscard]] Allocation best_of_rounds(const AuctionInstance& instance,
                                         const FractionalSolution& fractional,
+                                        int repetitions, std::uint64_t seed,
+                                        const Deadline& deadline = {},
+                                        bool* timed_out = nullptr);
+
+/// The sampling plan (core/sampling_plan.hpp) of \p fractional with the
+/// instance's values at best_of_rounds' scaling unless \p scale_denominator
+/// > 0. Rounding one x* under changing values (the Lavi-Swamy pricing
+/// loop), build it once, rewrite plan.value and call the overload below.
+[[nodiscard]] detail::SamplingPlan sampling_plan(
+    const AuctionInstance& instance, const FractionalSolution& fractional,
+    double scale_denominator = 0.0);
+[[nodiscard]] Allocation best_of_rounds(const AuctionInstance& instance,
+                                        const detail::SamplingPlan& plan,
                                         int repetitions, std::uint64_t seed,
                                         const Deadline& deadline = {},
                                         bool* timed_out = nullptr);

@@ -7,47 +7,10 @@
 
 #include "core/exact.hpp"
 #include "core/rounding.hpp"
+#include "core/sampling_plan.hpp"
 #include "lp/simplex.hpp"
 
 namespace ssa {
-
-namespace {
-
-/// Valuation defined by a sparse (bundle -> value) table; used to turn the
-/// decomposition duals into a pricing auction over supp(x*).
-class SparseValuation final : public Valuation {
- public:
-  SparseValuation(int num_channels, std::map<Bundle, double> values)
-      : Valuation(num_channels), values_(std::move(values)) {}
-
-  [[nodiscard]] double value(Bundle bundle) const override {
-    const auto it = values_.find(bundle);
-    return it == values_.end() ? 0.0 : it->second;
-  }
-
-  [[nodiscard]] DemandResult demand(std::span<const double> prices) const override {
-    DemandResult best;
-    for (const auto& [bundle, value] : values_) {
-      double utility = value;
-      for (int j = 0; j < k_; ++j) {
-        if (bundle_has(bundle, j)) utility -= prices[j];
-      }
-      if (utility > best.utility) best = DemandResult{bundle, utility};
-    }
-    return best;
-  }
-
-  [[nodiscard]] double max_value() const override {
-    double best = 0.0;
-    for (const auto& [bundle, value] : values_) best = std::max(best, value);
-    return best;
-  }
-
- private:
-  std::map<Bundle, double> values_;
-};
-
-}  // namespace
 
 double default_alpha(const AuctionInstance& instance) {
   const double sqrt_k =
@@ -122,6 +85,19 @@ Decomposition decompose_fractional(const AuctionInstance& instance,
       options.use_exact_pricing && instance.num_channels() <= 6 &&
       instance.num_bidders() <= 14;
 
+  // Pricing rounds x* valuing bundle T of bidder v at the last positive
+  // dual weight of coordinate (v, T), else 0 (priced[num_coords] for
+  // columns outside supp(x*)): one plan, its values rewritten each round.
+  detail::SamplingPlan plan = sampling_plan(instance, fractional);
+  std::vector<std::size_t> plan_coord(plan.bundle.size(), num_coords);
+  for (std::size_t j = 0; j < plan.bundle.size(); ++j) {
+    const auto it = coord_of.find({plan.bidder[j], plan.bundle[j]});
+    if (it != coord_of.end()) {
+      plan_coord[j] = static_cast<std::size_t>(it->second);
+    }
+  }
+  std::vector<double> priced(num_coords + 1);
+
   for (result.rounds = 0; result.rounds < options.max_rounds; ++result.rounds) {
     if (solution.status != lp::SolveStatus::kOptimal) break;
     if (solution.objective < 1e-8) break;  // decomposition complete
@@ -131,30 +107,38 @@ Decomposition decompose_fractional(const AuctionInstance& instance,
     for (std::size_t c = 0; c < num_coords; ++c) weights[c] = solution.duals[c];
     const double theta = solution.duals[static_cast<std::size_t>(convexity_row)];
 
-    // Pricing instance: bidder v values bundle T at max(w_{(v,T)}, 0).
-    std::vector<ValuationPtr> pricing_valuations;
-    std::vector<std::map<Bundle, double>> tables(instance.num_bidders());
+    std::fill(priced.begin(), priced.end(), 0.0);
     for (std::size_t c = 0; c < num_coords; ++c) {
       if (weights[c] > 0.0) {
-        tables[static_cast<std::size_t>(support[c].bidder)][support[c].bundle] =
-            weights[c];
+        priced[static_cast<std::size_t>(
+            coord_of.at({support[c].bidder, support[c].bundle}))] = weights[c];
       }
     }
-    pricing_valuations.reserve(instance.num_bidders());
-    for (std::size_t v = 0; v < instance.num_bidders(); ++v) {
-      pricing_valuations.push_back(std::make_shared<SparseValuation>(
-          instance.num_channels(), std::move(tables[v])));
+    for (std::size_t j = 0; j < plan.value.size(); ++j) {
+      plan.value[j] = priced[plan_coord[j]];
     }
-    const AuctionInstance pricing_instance(instance.graph(), instance.order(),
-                                           instance.num_channels(),
-                                           std::move(pricing_valuations),
-                                           instance.rho());
 
     // Candidate allocations from the rounding verifier (and exact B&B).
     Allocation candidate = best_of_rounds(
-        pricing_instance, fractional, options.rounding_repetitions,
+        instance, plan, options.rounding_repetitions,
         options.seed + static_cast<std::uint64_t>(result.rounds));
     if (exact_pricing_possible) {
+      // The same pricing auction as explicit 2^k value tables.
+      std::vector<std::vector<double>> tables(
+          instance.num_bidders(),
+          std::vector<double>(num_bundles(instance.num_channels()), 0.0));
+      for (std::size_t j = 0; j < plan.value.size(); ++j) {
+        tables[static_cast<std::size_t>(plan.bidder[j])][plan.bundle[j]] =
+            plan.value[j];
+      }
+      std::vector<ValuationPtr> pricing_valuations;
+      for (std::vector<double>& table : tables) {
+        pricing_valuations.push_back(std::make_shared<ExplicitValuation>(
+            instance.num_channels(), std::move(table)));
+      }
+      const AuctionInstance pricing_instance(
+          instance.graph(), instance.order(), instance.num_channels(),
+          std::move(pricing_valuations), instance.rho());
       const ExactResult exact = solve_exact(pricing_instance);
       if (exact.welfare > pricing_instance.welfare(candidate)) {
         candidate = exact.allocation;

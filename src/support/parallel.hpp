@@ -49,16 +49,30 @@ class ThreadCountScope {
   int saved_ = 0;
 };
 
-/// Runs body(i) for i in [0, n). The body must be safe to run concurrently
-/// for distinct i (no shared mutable state without synchronization).
+/// Runs body(i, slot) for i in [0, n). The body must be safe to run
+/// concurrently for distinct i (no shared mutable state without
+/// synchronization), except that no two bodies run at once under one slot
+/// in [0, slots): per-worker scratch can live in a slots-sized vector.
+template <typename Body>
+void parallel_for_slots(std::ptrdiff_t n, int slots, const Body& body) {
+#if defined(SSA_HAVE_OPENMP)
+#pragma omp parallel num_threads(slots)
+  {
+    const int slot = omp_get_thread_num();
+#pragma omp for schedule(dynamic, 1)
+    for (std::ptrdiff_t i = 0; i < n; ++i) body(i, slot);
+  }
+#else
+  (void)slots;
+  for (std::ptrdiff_t i = 0; i < n; ++i) body(i, 0);
+#endif
+}
+
+/// Runs body(i) for i in [0, n) on the whole pool.
 template <typename Body>
 void parallel_for(std::ptrdiff_t n, const Body& body) {
-#if defined(SSA_HAVE_OPENMP)
-#pragma omp parallel for schedule(dynamic, 1)
-  for (std::ptrdiff_t i = 0; i < n; ++i) body(i);
-#else
-  for (std::ptrdiff_t i = 0; i < n; ++i) body(i);
-#endif
+  parallel_for_slots(n, parallel_threads(),
+                     [&](std::ptrdiff_t i, int) { body(i); });
 }
 
 }  // namespace ssa

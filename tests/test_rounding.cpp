@@ -11,6 +11,7 @@
 #include "core/rounding.hpp"
 #include "gen/scenario.hpp"
 #include "support/pairwise.hpp"
+#include "support/parallel.hpp"
 #include "support/random.hpp"
 #include "support/stats.hpp"
 
@@ -106,7 +107,11 @@ TEST(BestOfRounds, AtLeastSinglePassAndDeterministic) {
   const AuctionInstance instance =
       gen::make_disk_auction(18, 2, gen::ValuationMix::kMixed, 77);
   const FractionalSolution lp = solve_auction_lp(instance);
-  const Allocation best32 = best_of_rounds(instance, lp, 32, 5);
+  const Allocation best32 = [&] {
+    const ThreadCountScope serial(1);
+    return best_of_rounds(instance, lp, 32, 5);
+  }();
+  const ThreadCountScope threads(4);
   const Allocation best32_again = best_of_rounds(instance, lp, 32, 5);
   EXPECT_EQ(best32.bundles, best32_again.bundles);  // thread-count invariant
   Rng rng(5);
