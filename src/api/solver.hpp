@@ -145,8 +145,10 @@ struct SolveReport {
   /// decomposition LP for "mechanism", 0 for the LP-free solvers. Like
   /// warm_started, a timing-class diagnostic excluded from payload equality.
   std::int64_t pivots = 0;
-  /// Pricing rounds a column-generation solve performed ("lp-rounding"'s
-  /// colgen path, "asymmetric-colgen"); 0 for explicit/LP-free solvers.
+  /// Master solves a column-generation solve performed ("lp-rounding"'s
+  /// colgen path, "asymmetric-colgen"): the first solve plus one re-solve
+  /// per oracle call that returned columns (lp::BendersResult::rounds); 0
+  /// for explicit/LP-free solvers.
   /// Like pivots, a run diagnostic excluded from payload equality: a
   /// pool-warm colgen run converges in fewer rounds than its cold twin
   /// while producing the identical payload.

@@ -66,6 +66,36 @@ double AsymmetricInstance::welfare(const Allocation& allocation) const {
   return total;
 }
 
+std::vector<lp::ColumnEntry> asymmetric_bundle_column(
+    const AsymmetricInstance& instance, int bidder, Bundle bundle) {
+  if (bundle == kEmptyBundle) {
+    throw std::invalid_argument(
+        "asymmetric_bundle_column: empty bundle has no column");
+  }
+  const std::size_t n = instance.num_bidders();
+  const int k = instance.num_channels();
+  const std::size_t v = static_cast<std::size_t>(bidder);
+
+  std::vector<lp::ColumnEntry> entries;
+  for (int j = 0; j < k; ++j) {
+    if (!bundle_has(bundle, j)) continue;
+    const auto& graph = instance.graph(j);
+    for (int u : graph.neighbors(v)) {
+      if (instance.positions()[static_cast<std::size_t>(u)] <=
+          instance.positions()[v]) {
+        continue;
+      }
+      const double wbar = graph.coupling_weight(v, static_cast<std::size_t>(u));
+      if (wbar > 0.0) {
+        entries.push_back(
+            {channel_row(static_cast<std::size_t>(u), j, k), wbar});
+      }
+    }
+  }
+  entries.push_back({static_cast<int>(n) * k + bidder, 1.0});
+  return entries;
+}
+
 FractionalSolution solve_asymmetric_lp(const AsymmetricInstance& instance,
                                        lp::SimplexOptions options) {
   const int k = instance.num_channels();
@@ -79,57 +109,18 @@ FractionalSolution solve_asymmetric_lp(const AsymmetricInstance& instance,
         " required, got " + std::to_string(k) +
         " (use asymmetric-colgen for larger instances)");
   }
-  const std::size_t n = instance.num_bidders();
-
-  lp::LinearProgram master(lp::Objective::kMaximize);
-  for (std::size_t u = 0; u < n; ++u) {
-    for (int j = 0; j < k; ++j) {
-      master.add_row(lp::RowSense::kLessEqual, instance.rho());
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    master.add_row(lp::RowSense::kLessEqual, 1.0);
-  }
-
+  lp::LinearProgram master = build_master_rows(instance);
   std::vector<std::pair<int, Bundle>> meaning;
-  for (std::size_t v = 0; v < n; ++v) {
+  for (std::size_t v = 0; v < instance.num_bidders(); ++v) {
     for (Bundle t = 1; t < num_bundles(k); ++t) {
       const double value = instance.value(v, t);
       if (value <= 0.0) continue;
-      std::vector<lp::ColumnEntry> entries;
-      for (int j = 0; j < k; ++j) {
-        if (!bundle_has(t, j)) continue;
-        const auto& graph = instance.graph(j);
-        for (int u : graph.neighbors(v)) {
-          if (instance.positions()[static_cast<std::size_t>(u)] <=
-              instance.positions()[v]) {
-            continue;
-          }
-          const double wbar = graph.coupling_weight(v, static_cast<std::size_t>(u));
-          if (wbar > 0.0) {
-            entries.push_back({channel_row(static_cast<std::size_t>(u), j, k), wbar});
-          }
-        }
-      }
-      entries.push_back({static_cast<int>(n) * k + static_cast<int>(v), 1.0});
-      master.add_column(value, std::move(entries));
+      master.add_column(
+          value, asymmetric_bundle_column(instance, static_cast<int>(v), t));
       meaning.emplace_back(static_cast<int>(v), t);
     }
   }
-
-  const lp::Solution solution = lp::solve(master, options);
-  FractionalSolution result;
-  result.status = solution.status;
-  result.objective = solution.objective;
-  result.pivots = solution.pivots;
-  if (solution.status != lp::SolveStatus::kOptimal) return result;
-  for (std::size_t j = 0; j < meaning.size(); ++j) {
-    if (solution.x[j] > 1e-9) {
-      result.columns.push_back(
-          FractionalColumn{meaning[j].first, meaning[j].second, solution.x[j]});
-    }
-  }
-  return result;
+  return extract_fractional(lp::solve(master, options), meaning);
 }
 
 namespace {

@@ -37,12 +37,12 @@ class AsymmetricInstance {
 
   /// Cap of the *explicit-enumeration* algorithms (solve_asymmetric_lp and
   /// the greedy baselines), which still materialize all 2^k - 1 bundles per
-  /// bidder. It is the single source of truth for those paths; instances
-  /// above it must go through the column-generation solver. The exact B&B
-  /// additionally keeps its own tighter, caller-overridable guard
-  /// (ExactOptions::max_channels, default 6), exactly as in the symmetric
-  /// family.
-  static constexpr int kExplicitChannelLimit = 12;
+  /// bidder: the library-wide explicit cap (bundle.hpp), shared with the
+  /// symmetric family. Instances above it must go through the
+  /// column-generation solver. The exact B&B additionally keeps its own
+  /// tighter, caller-overridable guard (ExactOptions::max_channels, default
+  /// 6), exactly as in the symmetric family.
+  static constexpr int kExplicitChannelLimit = ssa::kExplicitChannelLimit;
 
   /// \p rho = 0 measures max over channels of rho_j(pi) with the verifier.
   AsymmetricInstance(std::vector<ConflictGraph> channel_graphs, Ordering order,
@@ -91,6 +91,12 @@ class AsymmetricInstance {
   std::vector<ValuationPtr> valuations_;
   bool unweighted_;
 };
+
+/// Column entries of variable (v, T) against the per-channel graphs:
+/// wbar_j(v, u) in row (u, j) for forward neighbors u and j in T, plus the
+/// convexity row of v.
+[[nodiscard]] std::vector<lp::ColumnEntry> asymmetric_bundle_column(
+    const AsymmetricInstance& instance, int bidder, Bundle bundle);
 
 /// Explicit LP for the asymmetric problem. Enumerates every bundle, so it
 /// refuses k > AsymmetricInstance::kExplicitChannelLimit; larger instances

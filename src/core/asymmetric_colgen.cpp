@@ -14,52 +14,6 @@ namespace {
 
 }  // namespace
 
-lp::LinearProgram build_asymmetric_master_rows(
-    const AsymmetricInstance& instance) {
-  lp::LinearProgram master(lp::Objective::kMaximize);
-  const std::size_t n = instance.num_bidders();
-  const int k = instance.num_channels();
-  for (std::size_t u = 0; u < n; ++u) {
-    for (int j = 0; j < k; ++j) {
-      master.add_row(lp::RowSense::kLessEqual, instance.rho());
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    master.add_row(lp::RowSense::kLessEqual, 1.0);
-  }
-  return master;
-}
-
-std::vector<lp::ColumnEntry> asymmetric_bundle_column(
-    const AsymmetricInstance& instance, int bidder, Bundle bundle) {
-  if (bundle == kEmptyBundle) {
-    throw std::invalid_argument(
-        "asymmetric_bundle_column: empty bundle has no column");
-  }
-  const std::size_t n = instance.num_bidders();
-  const int k = instance.num_channels();
-  const std::size_t v = static_cast<std::size_t>(bidder);
-
-  std::vector<lp::ColumnEntry> entries;
-  for (int j = 0; j < k; ++j) {
-    if (!bundle_has(bundle, j)) continue;
-    const auto& graph = instance.graph(j);
-    for (int u : graph.neighbors(v)) {
-      if (instance.positions()[static_cast<std::size_t>(u)] <=
-          instance.positions()[v]) {
-        continue;
-      }
-      const double wbar = graph.coupling_weight(v, static_cast<std::size_t>(u));
-      if (wbar > 0.0) {
-        entries.push_back(
-            {channel_row(static_cast<std::size_t>(u), j, k), wbar});
-      }
-    }
-  }
-  entries.push_back({static_cast<int>(n) * k + bidder, 1.0});
-  return entries;
-}
-
 FractionalSolution solve_asymmetric_lp_colgen(
     const AsymmetricInstance& instance, AsymmetricColGenStats* stats,
     const AsymmetricColGenOptions& options) {
@@ -73,14 +27,26 @@ FractionalSolution solve_asymmetric_lp_colgen(
     return lifted ? lifted_value(value, v, t) : value;
   };
 
-  lp::LinearProgram master = build_asymmetric_master_rows(instance);
+  lp::LinearProgram master = build_master_rows(instance);
 
   // Column meanings in master order: pool seeds first, oracle columns
   // after, mirroring solve_with_benders's append order.
-  std::vector<std::pair<std::uint32_t, Bundle>> meaning;
+  std::vector<std::pair<int, Bundle>> meaning;
   std::unordered_set<std::uint64_t> known;
+  // Appends column (v, t) to \p out and its meaning to the master order,
+  // unless the master already has it.
+  const auto propose = [&](std::vector<lp::PricedColumn>& out, std::size_t v,
+                           Bundle t) {
+    if (!known.insert(column_key(static_cast<std::uint32_t>(v), t)).second) {
+      return;
+    }
+    out.push_back(lp::PricedColumn{
+        column_cost(v, t),
+        asymmetric_bundle_column(instance, static_cast<int>(v), t)});
+    meaning.emplace_back(static_cast<int>(v), t);
+  };
 
-  std::vector<lp::SeedColumn> seeds;
+  std::vector<lp::PricedColumn> seeds;
   const AsymmetricColumnPool* pool = options.pool;
   const bool pool_compatible = pool != nullptr && !pool->empty() &&
                                pool->num_bidders == n &&
@@ -95,11 +61,7 @@ FractionalSolution solve_asymmetric_lp_colgen(
       // less warm.)
       if (v >= n || t == kEmptyBundle || t >= num_bundles(k)) continue;
       if (instance.value(v, t) <= 0.0) continue;
-      if (!known.insert(column_key(v, t)).second) continue;
-      seeds.push_back(lp::SeedColumn{
-          column_cost(v, t),
-          asymmetric_bundle_column(instance, static_cast<int>(v), t)});
-      meaning.emplace_back(v, t);
+      propose(seeds, v, t);
     }
   }
 
@@ -130,6 +92,7 @@ FractionalSolution solve_asymmetric_lp_colgen(
 
       Bundle best = kEmptyBundle;
       double best_utility = 0.0;
+      double threshold = z_v + 1e-9;
       if (lifted) {
         // Exact demand under the LIFTED values, so the oracle certifies
         // optimality of the lifted master -- pricing with raw values
@@ -149,29 +112,17 @@ FractionalSolution solve_asymmetric_lp_colgen(
             best_utility = utility;
           }
         }
-        if (best != kEmptyBundle && best_utility > z_v + 1e-9 &&
-            known.insert(column_key(static_cast<std::uint32_t>(v), best))
-                .second) {
-          columns.push_back(lp::PricedColumn{
-              column_cost(v, best),
-              asymmetric_bundle_column(instance, static_cast<int>(v), best)});
-          meaning.emplace_back(static_cast<std::uint32_t>(v), best);
-        }
       } else {
         // Beyond the enumeration ceiling: the valuation's own closed-form
         // demand oracle (unlifted) with the symmetric colgen path's
         // slacker threshold.
         const DemandResult demand = instance.valuation(v).demand(prices);
-        if (demand.bundle != kEmptyBundle && demand.utility > z_v + 1e-7 &&
-            known.insert(
-                     column_key(static_cast<std::uint32_t>(v), demand.bundle))
-                .second) {
-          columns.push_back(lp::PricedColumn{
-              column_cost(v, demand.bundle),
-              asymmetric_bundle_column(instance, static_cast<int>(v),
-                                       demand.bundle)});
-          meaning.emplace_back(static_cast<std::uint32_t>(v), demand.bundle);
-        }
+        best = demand.bundle;
+        best_utility = demand.utility;
+        threshold = z_v + 1e-7;
+      }
+      if (best != kEmptyBundle && best_utility > threshold) {
+        propose(columns, v, best);
       }
     }
     return columns;
@@ -195,18 +146,16 @@ FractionalSolution solve_asymmetric_lp_colgen(
   if (options.pool_export != nullptr) {
     *options.pool_export = AsymmetricColumnPool{};
     if (run.solution.status == lp::SolveStatus::kOptimal) {
-      options.pool_export->columns = meaning;
+      options.pool_export->columns.assign(meaning.begin(), meaning.end());
       options.pool_export->basis = terminal_basis;  // empty unless proven
       options.pool_export->num_bidders = static_cast<std::uint32_t>(n);
       options.pool_export->num_channels = k;
     }
   }
 
-  FractionalSolution result;
-  result.status = run.solution.status;
-  result.objective = run.solution.objective;
-  result.pivots = run.pivots;
-  if (run.solution.status != lp::SolveStatus::kOptimal) return result;
+  if (run.solution.status != lp::SolveStatus::kOptimal) {
+    return extract_fractional(run.solution, meaning);
+  }
 
   // Final canonical re-solve: the terminal support in sorted (bidder,
   // bundle) order becomes a fresh LP solved by a fresh engine. Warm and
@@ -214,17 +163,16 @@ FractionalSolution solve_asymmetric_lp_colgen(
   // generically by the lift) then solve literally the same LP, so the
   // extracted objective and weights are bitwise identical no matter how
   // the columns arrived (pool seed vs oracle round, any order).
-  std::vector<std::pair<std::uint32_t, Bundle>> support;
+  std::vector<std::pair<int, Bundle>> support;
   for (std::size_t c = 0; c < meaning.size(); ++c) {
     if (run.solution.x[c] > 1e-9) support.push_back(meaning[c]);
   }
   std::sort(support.begin(), support.end());
 
-  lp::LinearProgram canonical = build_asymmetric_master_rows(instance);
+  lp::LinearProgram canonical = build_master_rows(instance);
   for (const auto& [v, t] : support) {
-    canonical.add_column(column_cost(v, t),
-                         asymmetric_bundle_column(instance,
-                                                  static_cast<int>(v), t));
+    canonical.add_column(column_cost(static_cast<std::size_t>(v), t),
+                         asymmetric_bundle_column(instance, v, t));
   }
 
   // The terminal basis, reindexed to the canonical column order, warm-
@@ -263,21 +211,13 @@ FractionalSolution solve_asymmetric_lp_colgen(
   const lp::Solution final_solution =
       polish_hint.empty() ? polish.solve(canonical)
                           : polish.solve(canonical, polish_hint);
-  result.pivots += polish.pivots();
+  FractionalSolution result = extract_fractional(final_solution, support);
+  result.pivots = run.pivots + polish.pivots();
   if (stats != nullptr) stats->pivots = result.pivots;
   if (final_solution.status != lp::SolveStatus::kOptimal) {
-    // Deadline fired between the main loop and the re-solve; surface it.
-    result.status = final_solution.status;
-    return result;
-  }
-  result.objective = final_solution.objective;
-  result.columns.clear();
-  for (std::size_t c = 0; c < support.size(); ++c) {
-    if (final_solution.x[c] > 1e-9) {
-      result.columns.push_back(
-          FractionalColumn{static_cast<int>(support[c].first),
-                           support[c].second, final_solution.x[c]});
-    }
+    // Deadline fired between the main loop and the re-solve: surface its
+    // status with the main loop's objective.
+    result.objective = run.solution.objective;
   }
   return result;
 }

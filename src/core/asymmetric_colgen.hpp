@@ -58,7 +58,7 @@ struct AsymmetricColumnPool {
 
 /// Diagnostics of one colgen solve (SolveReport surfaces rounds/columns).
 struct AsymmetricColGenStats {
-  int rounds = 0;
+  int rounds = 0;  ///< master solves (lp::BendersResult::rounds)
   int columns_generated = 0;  ///< oracle columns only; pool seeds excluded
   bool proved_optimal = false;
   bool pool_warm_started = false;  ///< a compatible donor pool seeded the master
@@ -67,7 +67,7 @@ struct AsymmetricColGenStats {
 
 /// Bundle-enumeration ceiling of the exact LIFTED demand oracle; above it
 /// the oracle delegates to Valuation::demand closed forms (unlifted).
-inline constexpr int kLiftedDemandChannels = 20;
+inline constexpr int kLiftedDemandChannels = kEnumerationChannelLimit;
 
 struct AsymmetricColGenOptions {
   int max_rounds = 500;
@@ -80,17 +80,6 @@ struct AsymmetricColGenOptions {
   /// basis for banking (cleared when the solve did not reach optimality).
   AsymmetricColumnPool* pool_export = nullptr;
 };
-
-/// Master rows of the asymmetric LP: n*k interference rows "(u, j) <= rho"
-/// followed by n convexity rows "sum_T x_{v,T} <= 1" (no columns).
-[[nodiscard]] lp::LinearProgram build_asymmetric_master_rows(
-    const AsymmetricInstance& instance);
-
-/// Column entries of variable (v, T) against the per-channel graphs:
-/// wbar_j(v, u) in row (u, j) for forward neighbors u and j in T, plus the
-/// convexity row of v.
-[[nodiscard]] std::vector<lp::ColumnEntry> asymmetric_bundle_column(
-    const AsymmetricInstance& instance, int bidder, Bundle bundle);
 
 /// Solves the asymmetric LP by demand-oracle column generation; works for
 /// any k <= AsymmetricInstance::kMaxChannels and for weighted per-channel

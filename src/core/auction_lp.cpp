@@ -2,23 +2,26 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace ssa {
 
-lp::LinearProgram build_master_rows(const AuctionInstance& instance) {
-  lp::LinearProgram master(lp::Objective::kMaximize);
-  const std::size_t n = instance.num_bidders();
-  const int k = instance.num_channels();
-  for (std::size_t u = 0; u < n; ++u) {
-    for (int j = 0; j < k; ++j) {
-      master.add_row(lp::RowSense::kLessEqual, instance.rho());
+FractionalSolution extract_fractional(
+    const lp::Solution& solution,
+    std::span<const std::pair<int, Bundle>> meaning) {
+  FractionalSolution result;
+  result.status = solution.status;
+  result.objective = solution.objective;
+  result.pivots = solution.pivots;
+  if (solution.status != lp::SolveStatus::kOptimal) return result;
+  for (std::size_t j = 0; j < meaning.size(); ++j) {
+    if (solution.x[j] > 1e-9) {
+      result.columns.push_back(FractionalColumn{
+          meaning[j].first, meaning[j].second, solution.x[j]});
     }
   }
-  for (std::size_t v = 0; v < n; ++v) {
-    master.add_row(lp::RowSense::kLessEqual, 1.0);
-  }
-  return master;
+  return result;
 }
 
 std::vector<lp::ColumnEntry> bundle_column(const AuctionInstance& instance,
@@ -81,34 +84,17 @@ namespace {
   return lifted_value(instance.value(v, t), v, t);
 }
 
-FractionalSolution extract(const AuctionInstance& instance,
-                           const lp::Solution& solution,
-                           const std::vector<std::pair<int, Bundle>>& meaning) {
-  FractionalSolution result;
-  result.status = solution.status;
-  result.objective = solution.objective;
-  result.pivots = solution.pivots;
-  if (solution.status != lp::SolveStatus::kOptimal) return result;
-  for (std::size_t j = 0; j < meaning.size(); ++j) {
-    if (solution.x[j] > 1e-9) {
-      result.columns.push_back(FractionalColumn{
-          meaning[j].first, meaning[j].second, solution.x[j]});
-    }
-  }
-  (void)instance;
-  return result;
-}
-
 }  // namespace
 
 FractionalSolution solve_auction_lp(const AuctionInstance& instance,
                                     lp::SimplexOptions options,
                                     LpWarmStart* warm) {
   const int k = instance.num_channels();
-  if (k > 12) {
+  if (k > kExplicitChannelLimit) {
     throw std::invalid_argument(
-        "solve_auction_lp: explicit enumeration limited to k <= 12; use "
-        "solve_auction_lp_colgen");
+        "solve_auction_lp: explicit enumeration limited to k <= " +
+        std::to_string(kExplicitChannelLimit) +
+        "; use solve_auction_lp_colgen");
   }
   lp::LinearProgram master = build_master_rows(instance);
   std::vector<std::pair<int, Bundle>> meaning;
@@ -141,7 +127,7 @@ FractionalSolution solve_auction_lp(const AuctionInstance& instance,
       *warm->exported = engine.export_basis();
     }
   }
-  return extract(instance, solution, meaning);
+  return extract_fractional(solution, meaning);
 }
 
 namespace {
@@ -272,7 +258,7 @@ lp::BasisSnapshot remap_basis_for_removed_bidder(
 
 FractionalSolution solve_auction_lp_colgen(
     const AuctionInstance& instance, ColGenStats* stats,
-    lp::ColumnGenerationOptions options) {
+    lp::BendersOptions options) {
   const std::size_t n = instance.num_bidders();
   const int k = instance.num_channels();
   const auto& graph = instance.graph();
@@ -281,9 +267,9 @@ FractionalSolution solve_auction_lp_colgen(
   lp::LinearProgram master = build_master_rows(instance);
   std::vector<std::pair<int, Bundle>> meaning;
   // Track proposed columns to be robust against dual degeneracy.
+  const bool track = k <= kEnumerationChannelLimit;
   std::vector<std::vector<bool>> proposed(
-      n, std::vector<bool>(k <= 20 ? num_bundles(k) : 0, false));
-  const bool track = k <= 20;
+      n, std::vector<bool>(track ? num_bundles(k) : 0, false));
 
   const lp::PricingOracle oracle =
       [&](const lp::Solution& rmp) -> std::vector<lp::PricedColumn> {
@@ -318,14 +304,14 @@ FractionalSolution solve_auction_lp_colgen(
     return columns;
   };
 
-  const lp::ColumnGenerationResult result =
-      lp::solve_with_column_generation(master, oracle, options);
+  const lp::BendersResult result =
+      lp::solve_with_benders(master, oracle, {}, options);
   if (stats != nullptr) {
     stats->rounds = result.rounds;
     stats->columns_generated = result.columns_added;
     stats->proved_optimal = result.proved_optimal;
   }
-  return extract(instance, result.solution, meaning);
+  return extract_fractional(result.solution, meaning);
 }
 
 }  // namespace ssa

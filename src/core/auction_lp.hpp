@@ -7,16 +7,19 @@
 /// (u, j) rows have right-hand side rho.
 ///
 /// Two solution paths:
-///  - explicit: enumerate all 2^k - 1 bundles per bidder (k <= 12);
+///  - explicit: enumerate all 2^k - 1 bundles per bidder
+///    (k <= kExplicitChannelLimit);
 ///  - column generation with demand oracles (Section 2.2): bidder-specific
 ///    prices p_{v,j} = sum_{u: v in Gamma_pi(u)} wbar(v,u) * y_{u,j} turn
 ///    the dual separation problem into a demand query.
 
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/instance.hpp"
-#include "lp/column_generation.hpp"
+#include "lp/benders.hpp"
 #include "lp/lp_model.hpp"
 
 namespace ssa {
@@ -84,15 +87,38 @@ inline constexpr double kTiebreakScale = 1e-7;
   return value * (1.0 + kTiebreakScale * tiebreak_unit(v, t));
 }
 
-/// Builds the master LP rows (no columns) for an instance: n*k rows
-/// "(u,j) <= rho" followed by n rows "sum_T x_{v,T} <= 1".
-[[nodiscard]] lp::LinearProgram build_master_rows(const AuctionInstance& instance);
+/// Builds the master LP rows (no columns) for an instance of either family
+/// (AuctionInstance or AsymmetricInstance): n*k rows "(u,j) <= rho"
+/// followed by n rows "sum_T x_{v,T} <= 1".
+template <typename Instance>
+[[nodiscard]] lp::LinearProgram build_master_rows(const Instance& instance) {
+  lp::LinearProgram master(lp::Objective::kMaximize);
+  const std::size_t n = instance.num_bidders();
+  const std::size_t channel_rows =
+      n * static_cast<std::size_t>(instance.num_channels());
+  for (std::size_t row = 0; row < channel_rows; ++row) {
+    master.add_row(lp::RowSense::kLessEqual, instance.rho());
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    master.add_row(lp::RowSense::kLessEqual, 1.0);
+  }
+  return master;
+}
+
+/// The fractional solution of a master LP of either family: status,
+/// objective and pivots of \p solution, plus every column with x > 1e-9
+/// read as the (bidder, bundle) \p meaning[j] of its index j (no columns
+/// unless the solve was optimal).
+[[nodiscard]] FractionalSolution extract_fractional(
+    const lp::Solution& solution,
+    std::span<const std::pair<int, Bundle>> meaning);
 
 /// Column entries of variable (v, T) for the master LP.
 [[nodiscard]] std::vector<lp::ColumnEntry> bundle_column(
     const AuctionInstance& instance, int bidder, Bundle bundle);
 
-/// Solves the LP by explicit bundle enumeration; requires k <= 12.
+/// Solves the LP by explicit bundle enumeration; requires
+/// k <= kExplicitChannelLimit.
 /// Columns with zero value are skipped (they cannot help a packing LP).
 /// \p warm, when non-null, threads a basis hint in and the optimal basis
 /// out (see LpWarmStart); the result is identical to the cold solve's
@@ -130,7 +156,7 @@ inline constexpr double kTiebreakScale = 1e-7;
 
 /// Statistics of a column-generation solve (E6 measures these).
 struct ColGenStats {
-  int rounds = 0;
+  int rounds = 0;  ///< master solves (lp::BendersResult::rounds)
   int columns_generated = 0;
   bool proved_optimal = false;
 };
@@ -138,6 +164,6 @@ struct ColGenStats {
 /// Solves the LP with demand-oracle column generation; works for any k.
 [[nodiscard]] FractionalSolution solve_auction_lp_colgen(
     const AuctionInstance& instance, ColGenStats* stats = nullptr,
-    lp::ColumnGenerationOptions options = {});
+    lp::BendersOptions options = {});
 
 }  // namespace ssa

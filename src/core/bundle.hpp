@@ -16,6 +16,16 @@ using Bundle = std::uint32_t;
 /// Upper limit on k imposed by the Bundle representation.
 inline constexpr int kMaxChannels = 30;
 
+/// Largest k of the explicit-enumeration paths -- the explicit LPs and the
+/// greedy baselines of both instance families -- which materialize all
+/// 2^k - 1 bundles of every bidder.
+inline constexpr int kExplicitChannelLimit = 12;
+
+/// Largest k at which a per-bidder scan of all 2^k bundles runs: the
+/// default Valuation::demand, the lifted asymmetric demand oracle and the
+/// symmetric column generation's proposal tracking.
+inline constexpr int kEnumerationChannelLimit = 20;
+
 /// Empty bundle constant.
 inline constexpr Bundle kEmptyBundle = 0;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace ssa {
 
@@ -18,7 +19,11 @@ bool fits(const AuctionInstance& instance, const Allocation& allocation,
 
 Allocation greedy_by_value(const AuctionInstance& instance) {
   const int k = instance.num_channels();
-  if (k > 12) throw std::invalid_argument("greedy_by_value: k <= 12 required");
+  if (k > kExplicitChannelLimit) {
+    throw std::invalid_argument("greedy_by_value: k <= " +
+                                std::to_string(kExplicitChannelLimit) +
+                                " required");
+  }
   const std::size_t n = instance.num_bidders();
 
   std::vector<std::size_t> bidders(n);
@@ -48,7 +53,11 @@ Allocation greedy_by_value(const AuctionInstance& instance) {
 
 Allocation greedy_by_density(const AuctionInstance& instance) {
   const int k = instance.num_channels();
-  if (k > 12) throw std::invalid_argument("greedy_by_density: k <= 12 required");
+  if (k > kExplicitChannelLimit) {
+    throw std::invalid_argument("greedy_by_density: k <= " +
+                                std::to_string(kExplicitChannelLimit) +
+                                " required");
+  }
   const std::size_t n = instance.num_bidders();
 
   struct Bid {

@@ -1,7 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include <cmath>
-
 #include "core/rounding.hpp"
 #include "support/deadline.hpp"
 #include "support/pairwise.hpp"
@@ -11,15 +9,7 @@ namespace ssa {
 PipelineResult solve_pipeline(const AuctionInstance& instance,
                               PipelineOptions options) {
   PipelineResult result;
-  const double sqrt_k =
-      std::sqrt(static_cast<double>(instance.num_channels()));
-  if (instance.unweighted()) {
-    result.factor = 8.0 * sqrt_k * instance.rho();
-  } else {
-    const double log_n = std::ceil(
-        std::log2(std::max<std::size_t>(instance.num_bidders(), 2)));
-    result.factor = 16.0 * sqrt_k * instance.rho() * log_n;
-  }
+  result.factor = default_alpha(instance);
   result.used_column_generation =
       options.force_column_generation ||
       instance.num_channels() > options.explicit_limit;
@@ -28,7 +18,7 @@ PipelineResult solve_pipeline(const AuctionInstance& instance,
   const Deadline deadline = Deadline::after(options.time_budget_seconds);
   lp::SimplexOptions simplex;
   simplex.deadline = deadline;
-  lp::ColumnGenerationOptions colgen;
+  lp::BendersOptions colgen;
   colgen.simplex = simplex;
   ColGenStats colgen_stats;
   result.fractional =

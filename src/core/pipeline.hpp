@@ -61,9 +61,9 @@ struct PipelineResult {
   /// Simplex pivots the LP solve spent (= fractional.pivots; surfaced here
   /// so report assembly does not dig into the payload).
   long long pivots = 0;
-  /// Pricing rounds / generated columns of the column-generation path
-  /// (both 0 when the explicit LP ran); surfaced on SolveReport as the
-  /// oracle_rounds / columns_generated diagnostics.
+  /// Master solves (lp::BendersResult::rounds) / generated columns of the
+  /// column-generation path (both 0 when the explicit LP ran); surfaced on
+  /// SolveReport as the oracle_rounds / columns_generated diagnostics.
   int oracle_rounds = 0;
   int columns_generated = 0;
 };

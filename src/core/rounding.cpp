@@ -247,6 +247,15 @@ Allocation best_of_rounds(const AuctionInstance& instance,
       });
 }
 
+double default_alpha(const AuctionInstance& instance) {
+  const double sqrt_k =
+      std::sqrt(static_cast<double>(instance.num_channels()));
+  if (instance.unweighted()) return 8.0 * sqrt_k * instance.rho();
+  const double log_n = std::ceil(
+      std::log2(std::max<std::size_t>(instance.num_bidders(), 2)));
+  return 16.0 * sqrt_k * instance.rho() * log_n;
+}
+
 Allocation derandomized_round(const AuctionInstance& instance,
                               const FractionalSolution& fractional,
                               const PairwiseFamily& family) {

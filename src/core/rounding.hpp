@@ -85,6 +85,13 @@ struct SamplingPlan;
                                         const Deadline& deadline = {},
                                         bool* timed_out = nullptr);
 
+/// The paper's approximation factor of the rounding on this instance:
+/// 8 sqrt(k) rho unweighted (Theorem 3), 16 sqrt(k) rho ceil(log n)
+/// edge-weighted (Lemmas 7 + 8). solve_pipeline reports it as its factor,
+/// and the Lavi-Swamy decomposition (Section 5) takes it as its default
+/// alpha.
+[[nodiscard]] double default_alpha(const AuctionInstance& instance);
+
 /// Deterministic rounding: evaluates every seed of a pairwise-independent
 /// family (per-vertex thresholds quantized to multiples of 1/p) and keeps
 /// the best allocation. The family average matches the randomized bound up

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace ssa {
 
@@ -15,9 +16,10 @@ DemandResult Valuation::demand(std::span<const double> prices) const {
   if (static_cast<int>(prices.size()) != k_) {
     throw std::invalid_argument("Valuation::demand: price vector size");
   }
-  if (k_ > 20) {
+  if (k_ > kEnumerationChannelLimit) {
     throw std::invalid_argument(
-        "Valuation::demand: default enumeration limited to k <= 20");
+        "Valuation::demand: default enumeration limited to k <= " +
+        std::to_string(kEnumerationChannelLimit));
   }
   DemandResult best;  // empty bundle, utility 0
   for (Bundle t = 1; t < num_bundles(k_); ++t) {

@@ -33,7 +33,8 @@ class Valuation {
   [[nodiscard]] virtual double value(Bundle bundle) const = 0;
 
   /// Exact demand oracle. The default enumerates all 2^k bundles
-  /// (k <= 20); structured subclasses override with closed forms.
+  /// (k <= kEnumerationChannelLimit); structured subclasses override with
+  /// closed forms.
   [[nodiscard]] virtual DemandResult demand(std::span<const double> prices) const;
 
   /// Largest value over all bundles (used for search bounds). Default

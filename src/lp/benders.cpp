@@ -4,12 +4,12 @@ namespace ssa::lp {
 
 BendersResult solve_with_benders(LinearProgram& master,
                                  const PricingOracle& oracle,
-                                 const std::vector<SeedColumn>& seeds,
+                                 const std::vector<PricedColumn>& seeds,
                                  const BendersOptions& options,
                                  BasisSnapshot* export_basis) {
   BendersResult result;
   if (export_basis != nullptr) *export_basis = BasisSnapshot{};
-  for (const SeedColumn& seed : seeds) {
+  for (const PricedColumn& seed : seeds) {
     master.add_column(seed.cost, seed.entries);
   }
 

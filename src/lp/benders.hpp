@@ -1,10 +1,22 @@
 #pragma once
 /// \file benders.hpp
-/// Seeded, warm-startable column-generation driver -- the Benders view of
-/// lp/column_generation.hpp. Column generation on the primal master is
-/// exactly Benders decomposition on its dual (each generated column is a
-/// feasibility cut on the dual polyhedron), and the two reuse ideas this
-/// driver adds are dual-side warm starts:
+/// The library's one column-generation (Dantzig-Wolfe / delayed column)
+/// loop. Solving the restricted master gives dual prices; the pricing
+/// oracle either proves optimality or returns columns with improving
+/// reduced cost. This is the simplex-based equivalent of the paper's
+/// ellipsoid-plus-separation approach (Section 2.2), and column generation
+/// on the primal master is exactly Benders decomposition on its dual (each
+/// generated column is a feasibility cut on the dual polyhedron).
+///
+/// Three callers run their masters through it:
+///  - solve_auction_lp_colgen (core/auction_lp.hpp): LP (1)/(4) priced by
+///    demand queries;
+///  - solve_asymmetric_lp_colgen (core/asymmetric_colgen.hpp): the
+///    Section 6 LP, with both warm starts below;
+///  - decompose_fractional (mechanism/decomposition.hpp): the Lavi-Swamy
+///    master priced by the rounding algorithm as an approximate oracle.
+///
+/// Two dual-side warm starts:
 ///  - seed columns: a donor run's generated column pool is appended to the
 ///    restricted master before the first solve, so the oracle only has to
 ///    separate what churn actually changed (a handful of rounds instead of
@@ -12,24 +24,29 @@
 ///  - a basis hint: the donor's terminal simplex basis is installed into
 ///    the first master solve (falling back to a cold solve on any
 ///    incompatibility, exactly like lp/simplex.hpp's warm path).
-/// The plain unseeded loop (solve_with_column_generation) stays untouched;
-/// this driver is its superset used by the asymmetric colgen solver.
 
+#include <functional>
 #include <vector>
 
-#include "lp/column_generation.hpp"
 #include "lp/lp_model.hpp"
 #include "lp/simplex.hpp"
 
 namespace ssa::lp {
 
-/// A column appended to the restricted master before the first solve.
-/// Structurally identical to PricedColumn; the separate name marks the
-/// provenance (pool seed vs oracle round) in driver signatures.
-using SeedColumn = PricedColumn;
+/// A column proposed by a pricing oracle or seeded from a donor pool.
+struct PricedColumn {
+  double cost = 0.0;
+  std::vector<ColumnEntry> entries;
+};
+
+/// Pricing callback: receives the current master solution (notably its row
+/// duals) and returns columns with positive reduced cost (maximization
+/// masters) / negative reduced cost (minimization masters); an empty result
+/// certifies optimality of the master over the full column set.
+using PricingOracle = std::function<std::vector<PricedColumn>(const Solution&)>;
 
 struct BendersOptions {
-  int max_rounds = 500;         ///< pricing rounds before giving up
+  int max_rounds = 500;         ///< oracle calls before giving up
   SimplexOptions simplex = {};  ///< master solver options
   /// Donor basis for the first master solve; dimensions must cover the
   /// master's rows and (initial + seed) structural columns. Null or
@@ -39,7 +56,9 @@ struct BendersOptions {
 
 struct BendersResult {
   Solution solution;  ///< final master solution (x spans all columns)
-  int rounds = 0;     ///< pricing rounds performed
+  /// Master solves performed: the first solve plus one re-solve per oracle
+  /// call that returned columns (max_rounds + 1 when the cap ends the run).
+  int rounds = 0;
   /// Columns generated by the oracle during this run; seed columns are
   /// NOT counted (they were generated by the donor run).
   int columns_added = 0;
@@ -56,7 +75,7 @@ struct BendersResult {
 /// empty otherwise) for banking into a warm-start cache.
 [[nodiscard]] BendersResult solve_with_benders(
     LinearProgram& master, const PricingOracle& oracle,
-    const std::vector<SeedColumn>& seeds, const BendersOptions& options = {},
-    BasisSnapshot* export_basis = nullptr);
+    const std::vector<PricedColumn>& seeds = {},
+    const BendersOptions& options = {}, BasisSnapshot* export_basis = nullptr);
 
 }  // namespace ssa::lp

@@ -1,25 +1,14 @@
 #include "mechanism/decomposition.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
-#include <stdexcept>
 
 #include "core/exact.hpp"
 #include "core/rounding.hpp"
 #include "core/sampling_plan.hpp"
-#include "lp/simplex.hpp"
+#include "lp/benders.hpp"
 
 namespace ssa {
-
-double default_alpha(const AuctionInstance& instance) {
-  const double sqrt_k =
-      std::sqrt(static_cast<double>(instance.num_channels()));
-  if (instance.unweighted()) return 8.0 * sqrt_k * instance.rho();
-  const double log_n = std::ceil(
-      std::log2(std::max<std::size_t>(instance.num_bidders(), 2)));
-  return 16.0 * sqrt_k * instance.rho() * log_n;
-}
 
 Decomposition decompose_fractional(const AuctionInstance& instance,
                                    const FractionalSolution& fractional,
@@ -39,7 +28,8 @@ Decomposition decompose_fractional(const AuctionInstance& instance,
   }
 
   // Master: coordinate equality rows + convexity row; s+/s- and the empty
-  // allocation as initial columns.
+  // allocation (which makes the convexity row satisfiable) as initial
+  // columns. Oracle columns follow the empty allocation in master order.
   lp::LinearProgram master(lp::Objective::kMinimize);
   for (std::size_t c = 0; c < num_coords; ++c) {
     master.add_row(lp::RowSense::kEqual, support[c].x / result.alpha);
@@ -49,37 +39,10 @@ Decomposition decompose_fractional(const AuctionInstance& instance,
     master.add_column(1.0, {{static_cast<int>(c), 1.0}});   // s+
     master.add_column(1.0, {{static_cast<int>(c), -1.0}});  // s-
   }
-  std::vector<Allocation> allocation_columns;
-  std::vector<int> allocation_master_index;
-  const auto add_allocation_column = [&](lp::SimplexEngine& engine,
-                                         const Allocation& allocation) {
-    std::vector<lp::ColumnEntry> entries{{convexity_row, 1.0}};
-    for (std::size_t v = 0; v < allocation.size(); ++v) {
-      if (allocation.bundles[v] == kEmptyBundle) continue;
-      const auto it =
-          coord_of.find({static_cast<int>(v), allocation.bundles[v]});
-      if (it == coord_of.end()) {
-        throw std::logic_error("decompose: allocation outside supp(x*)");
-      }
-      entries.push_back({it->second, 1.0});
-    }
-    master.add_column(0.0, entries);
-    engine.add_column(0.0, entries);
-    allocation_columns.push_back(allocation);
-    allocation_master_index.push_back(static_cast<int>(master.num_columns()) - 1);
-  };
-
-  lp::SimplexEngine engine;
-  // Seed with the empty allocation so the convexity row is satisfiable.
-  {
-    Allocation empty;
-    empty.bundles.assign(instance.num_bidders(), kEmptyBundle);
-    std::vector<lp::ColumnEntry> entries{{convexity_row, 1.0}};
-    master.add_column(0.0, entries);
-    allocation_columns.push_back(empty);
-    allocation_master_index.push_back(static_cast<int>(master.num_columns()) - 1);
-  }
-  lp::Solution solution = engine.solve(master);
+  const auto first_allocation =
+      static_cast<std::size_t>(master.add_column(0.0, {{convexity_row, 1.0}}));
+  std::vector<Allocation> allocation_columns(1);
+  allocation_columns[0].bundles.assign(instance.num_bidders(), kEmptyBundle);
 
   const bool exact_pricing_possible =
       options.use_exact_pricing && instance.num_channels() <= 6 &&
@@ -98,9 +61,9 @@ Decomposition decompose_fractional(const AuctionInstance& instance,
   }
   std::vector<double> priced(num_coords + 1);
 
-  for (result.rounds = 0; result.rounds < options.max_rounds; ++result.rounds) {
-    if (solution.status != lp::SolveStatus::kOptimal) break;
-    if (solution.objective < 1e-8) break;  // decomposition complete
+  const lp::PricingOracle oracle =
+      [&](const lp::Solution& solution) -> std::vector<lp::PricedColumn> {
+    if (solution.objective < 1e-8) return {};  // decomposition complete
 
     // Dual weights w_c and theta.
     std::vector<double> weights(num_coords, 0.0);
@@ -118,10 +81,11 @@ Decomposition decompose_fractional(const AuctionInstance& instance,
       plan.value[j] = priced[plan_coord[j]];
     }
 
-    // Candidate allocations from the rounding verifier (and exact B&B).
+    // Candidate allocations from the rounding verifier (and exact B&B),
+    // seeded by the number of columns generated so far.
     Allocation candidate = best_of_rounds(
         instance, plan, options.rounding_repetitions,
-        options.seed + static_cast<std::uint64_t>(result.rounds));
+        options.seed + (allocation_columns.size() - 1));
     if (exact_pricing_possible) {
       // The same pricing auction as explicit 2^k value tables.
       std::vector<std::vector<double>> tables(
@@ -144,38 +108,41 @@ Decomposition decompose_fractional(const AuctionInstance& instance,
         candidate = exact.allocation;
       }
     }
-    // Drop coordinates whose true (signed) weight is non-positive; this
-    // only raises the score and keeps feasibility (downward closure).
+    // Drop coordinates outside supp(x*) or whose true (signed) weight is
+    // non-positive; this only raises the score and keeps feasibility
+    // (downward closure). The kept ones score the allocation and form its
+    // column.
+    double score = theta;
+    std::vector<lp::ColumnEntry> entries{{convexity_row, 1.0}};
     for (std::size_t v = 0; v < candidate.size(); ++v) {
       if (candidate.bundles[v] == kEmptyBundle) continue;
       const auto it = coord_of.find({static_cast<int>(v), candidate.bundles[v]});
       if (it == coord_of.end() ||
           weights[static_cast<std::size_t>(it->second)] <= 0.0) {
         candidate.bundles[v] = kEmptyBundle;
+        continue;
       }
-    }
-
-    double score = theta;
-    for (std::size_t v = 0; v < candidate.size(); ++v) {
-      if (candidate.bundles[v] == kEmptyBundle) continue;
-      const auto it = coord_of.find({static_cast<int>(v), candidate.bundles[v]});
       score += weights[static_cast<std::size_t>(it->second)];
+      entries.push_back({it->second, 1.0});
     }
-    if (score <= 1e-8) break;  // no improving allocation found
+    if (score <= 1e-8) return {};  // no improving allocation found
+    allocation_columns.push_back(std::move(candidate));
+    return {lp::PricedColumn{0.0, std::move(entries)}};
+  };
 
-    add_allocation_column(engine, candidate);
-    ++result.columns_generated;
-    solution = engine.resolve();
-  }
-
-  result.residual = std::max(0.0, solution.objective);
-  result.pivots = solution.pivots;  // engine-lifetime count across resolves
+  lp::BendersOptions benders;
+  benders.max_rounds = options.max_rounds;
+  const lp::BendersResult run =
+      lp::solve_with_benders(master, oracle, {}, benders);
+  result.rounds = run.columns_added;
+  result.columns_generated = run.columns_added;
+  result.residual = std::max(0.0, run.solution.objective);
+  result.pivots = run.pivots;
 
   // Extract the distribution.
   double total = 0.0;
   for (std::size_t a = 0; a < allocation_columns.size(); ++a) {
-    const double lambda =
-        solution.x[static_cast<std::size_t>(allocation_master_index[a])];
+    const double lambda = run.solution.x[first_allocation + a];
     if (lambda > 1e-9) {
       result.entries.push_back(
           DecompositionEntry{allocation_columns[a], lambda});

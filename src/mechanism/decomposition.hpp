@@ -7,24 +7,24 @@
 ///     min  sum_c (s+_c + s-_c)
 ///     s.t. sum_l lambda_l chi_l(c) + s+_c - s-_c = x*_c / alpha   (c in supp x*)
 ///          sum_l lambda_l = 1,   lambda, s >= 0,
-/// solved by column generation. The pricing problem -- find an integral
-/// allocation maximizing the dual weights -- is answered by the paper's own
-/// rounding algorithm run on x* with the dual weights as valuations (it
-/// verifies the integrality gap alpha), backed by a pairwise-independent
-/// derandomized sweep and, on small instances, the exact solver.
+/// solved by column generation through lp/benders.hpp's loop. The
+/// pricing problem -- find an integral allocation maximizing the dual
+/// weights -- is answered by the paper's own rounding algorithm run on x*
+/// with the dual weights as valuations (it verifies the integrality gap
+/// alpha), backed on small instances by the exact solver.
 
 #include <cstdint>
 
 #include "core/auction_lp.hpp"
 #include "core/instance.hpp"
+#include "core/rounding.hpp"
 
 namespace ssa {
 
 struct DecompositionOptions {
-  double alpha = 0.0;        ///< 0 = paper default (8 sqrt(k) rho unweighted,
-                             ///< 16 sqrt(k) rho ceil(log n) weighted)
+  double alpha = 0.0;        ///< 0 = default_alpha (core/rounding.hpp)
   int rounding_repetitions = 96;  ///< Monte-Carlo pricing attempts per round
-  int max_rounds = 300;      ///< column-generation rounds
+  int max_rounds = 300;      ///< oracle calls (lp::BendersOptions::max_rounds)
   bool use_exact_pricing = true;  ///< allow exact B&B pricing on small cases
   std::uint64_t seed = 0x5eed;
 };
@@ -40,15 +40,14 @@ struct Decomposition {
   /// Final master objective = total absolute mismatch between
   /// sum_l lambda_l chi_l and x*/alpha (0 for a perfect decomposition).
   double residual = 0.0;
+  /// Allocation columns the oracle generated; rounds equals it (one
+  /// column per pricing round that found an improving allocation).
   int rounds = 0;
   int columns_generated = 0;
   /// Simplex pivots the master LP engine spent across all restarts. A run
   /// diagnostic, not serialized.
   long long pivots = 0;
 };
-
-/// The paper's default integrality-gap factor for this instance.
-[[nodiscard]] double default_alpha(const AuctionInstance& instance);
 
 /// Decomposes x*/alpha into a distribution over feasible allocations.
 [[nodiscard]] Decomposition decompose_fractional(

@@ -23,7 +23,7 @@ struct FractionalVcg {
 };
 
 /// Computes the fractional VCG outcome; \p use_colgen selects the
-/// demand-oracle LP path (required when k > 12).
+/// demand-oracle LP path (required when k > kExplicitChannelLimit).
 [[nodiscard]] FractionalVcg fractional_vcg(const AuctionInstance& instance,
                                            bool use_colgen = false);
 

@@ -22,7 +22,7 @@ double payment_for(const FractionalVcg& vcg,
 MechanismOutcome solve_mechanism(const AuctionInstance& instance,
                                  MechanismOptions options) {
   // Auto-select the demand-oracle path beyond the explicit-enumeration
-  // limit (the explicit LP rejects k > 12 on its own).
+  // limit (the explicit LP rejects k > kExplicitChannelLimit on its own).
   if (instance.num_channels() > options.explicit_limit) {
     options.use_colgen = true;
   }

@@ -79,9 +79,8 @@ class FingerprintHasher {
 
 /// Largest channel count whose 2^k - 1 bundle values are hashed
 /// exhaustively per bidder (covers every explicit-LP instance; explicit
-/// asymmetric solvers cap at AsymmetricInstance::kExplicitChannelLimit =
-/// 12 and the column-generation path's lifted demand oracle at
-/// kLiftedDemandChannels = 20).
+/// solvers cap at kExplicitChannelLimit = 12 and the column-generation
+/// path's lifted demand oracle at kEnumerationChannelLimit = 20).
 inline constexpr int kExhaustiveChannels = 16;
 /// Pseudo-random bundles sampled per bidder beyond kExhaustiveChannels.
 inline constexpr int kSampledBundles = 512;

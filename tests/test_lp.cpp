@@ -19,7 +19,6 @@
 #include "lp/basis_factor.hpp"
 #include "lp/benders.hpp"
 #include "lp/certify.hpp"
-#include "lp/column_generation.hpp"
 #include "lp/lp_model.hpp"
 #include "lp/simplex.hpp"
 #include "support/random.hpp"
@@ -551,7 +550,7 @@ LinearProgram explicit_master(const AuctionInstance& instance) {
 
 /// The explicit master of the Section 6 LP.
 LinearProgram explicit_master(const AsymmetricInstance& instance) {
-  LinearProgram master = build_asymmetric_master_rows(instance);
+  LinearProgram master = build_master_rows(instance);
   for (std::size_t v = 0; v < instance.num_bidders(); ++v) {
     for (Bundle t = 1; t < num_bundles(instance.num_channels()); ++t) {
       const double value = instance.value(v, t);
@@ -661,7 +660,7 @@ void certify_colgen_chain(const std::vector<const AuctionInstance*>& variants,
     ++runs.solves;
     if (!previous_basis.empty()) {
       std::vector<std::pair<int, Bundle>> known = previous_columns;
-      std::vector<SeedColumn> seeds;
+      std::vector<PricedColumn> seeds;
       for (const auto& [v, t] : previous_columns) {
         seeds.push_back({instance.value(static_cast<std::size_t>(v), t),
                          bundle_column(instance, v, t)});
@@ -803,8 +802,7 @@ TEST(ColumnGeneration, ReachesFullModelOptimum) {
     return {PricedColumn{costs[static_cast<std::size_t>(best)],
                          entries[static_cast<std::size_t>(best)]}};
   };
-  const ColumnGenerationResult result =
-      solve_with_column_generation(master, oracle);
+  const BendersResult result = solve_with_benders(master, oracle);
   EXPECT_TRUE(result.proved_optimal);
   EXPECT_NEAR(result.solution.objective, full_optimum, 1e-7);
 }

@@ -649,21 +649,31 @@ TEST_P(KernelIdentity, DecomposeFractional) {
     if (instance->num_bidders() > 20) continue;
     for (const FractionalSolution& x :
          fractionals(*instance, solve_auction_lp(*instance))) {
-      DecompositionOptions options;
-      options.max_rounds = 40;
-      const Decomposition expected =
-          reference::decompose_fractional(*instance, x, options);
-      const Decomposition actual = decompose_fractional(*instance, x, options);
-      EXPECT_EQ(actual.rounds, expected.rounds);
-      EXPECT_EQ(actual.residual, expected.residual);
-      ASSERT_EQ(actual.entries.size(), expected.entries.size());
-      for (std::size_t e = 0; e < actual.entries.size(); ++e) {
-        EXPECT_EQ(actual.entries[e].allocation.bundles,
-                  expected.entries[e].allocation.bundles);
-        EXPECT_EQ(actual.entries[e].probability,
-                  expected.entries[e].probability);
+      // 0 and 1 are the round-cap edges, where the loop's round accounting
+      // could part from the reference's.
+      for (const int max_rounds : {0, 1, 40}) {
+        DecompositionOptions options;
+        options.max_rounds = max_rounds;
+        const Decomposition expected =
+            reference::decompose_fractional(*instance, x, options);
+        const Decomposition actual =
+            decompose_fractional(*instance, x, options);
+        EXPECT_EQ(actual.rounds, expected.rounds) << max_rounds;
+        EXPECT_EQ(actual.columns_generated, expected.columns_generated)
+            << max_rounds;
+        EXPECT_EQ(actual.residual, expected.residual) << max_rounds;
+        ASSERT_EQ(actual.entries.size(), expected.entries.size())
+            << max_rounds;
+        for (std::size_t e = 0; e < actual.entries.size(); ++e) {
+          EXPECT_EQ(actual.entries[e].allocation.bundles,
+                    expected.entries[e].allocation.bundles);
+          EXPECT_EQ(actual.entries[e].probability,
+                    expected.entries[e].probability);
+        }
+        if (max_rounds == 40) {
+          entries += static_cast<int>(actual.entries.size());
+        }
       }
-      entries += static_cast<int>(actual.entries.size());
     }
   }
   EXPECT_GT(entries, 100);  // the loop really priced many rounds
