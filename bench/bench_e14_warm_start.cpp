@@ -6,7 +6,7 @@
 // full two-phase simplex solve; warm, the optimal basis banked from the
 // previous variant of the structure installs directly (values enter the
 // explicit LP only through the objective) and the re-solve runs in a
-// handful of pivots. Three phases:
+// handful of pivots. Two phases:
 //
 //   e14/churn/*  -- S scenarios x V support-preserving variants, solved
 //                   cold (no hint) and warm (per-structure BasisCache
@@ -16,18 +16,14 @@
 //                   whether EVERY warm payload was bitwise identical to
 //                   its cold twin (wire::reports_payload_equal) -- the
 //                   warm path is a latency lever, never a result change.
-//   e14/delta/*  -- incremental re-solve: one bidder appended / removed,
-//                   the donor basis remapped with the delta helpers of
-//                   core/auction_lp.hpp and repaired by the restricted
-//                   phase 1, against a from-scratch solve of the changed
-//                   instance.
 //   BM_*         -- google-benchmark timings of one cold and one warm
 //                   churn solve.
 //
 // The headline numbers are the MEDIAN pivot ratio and the MEDIAN cold/warm
 // wall-clock ratio (summed solver wall time) across the churn scenarios;
 // the verdict line prints both. The roadmap target is a wall-clock ratio
-// >= 2x; it is reported, not asserted.
+// >= 2x; it is reported, not asserted. Payload identity IS asserted: the
+// binary exits 1 when any warm payload differs from its cold twin.
 // SSA_E14_SCENARIOS / SSA_E14_VARIANTS shrink the grid for CI smoke.
 // Every row lands in BENCH_bench_e14_warm_start.json via bench_util.
 
@@ -77,42 +73,6 @@ AuctionInstance rescale_bidder(const AuctionInstance& instance, std::size_t v,
                                              std::move(values)));
 }
 
-/// True vertex removal (induced subgraph on everything but \p removed,
-/// later vertices shifted down) -- the shape the delta-remap helpers
-/// model; AuctionInstance::without_bidder only zeroes a valuation.
-AuctionInstance drop_bidder(const AuctionInstance& big, std::size_t removed) {
-  const std::size_t n = big.num_bidders();
-  ConflictGraph graph(n - 1);
-  const auto shifted = [&](std::size_t u) { return u < removed ? u : u - 1; };
-  for (std::size_t u = 0; u < n; ++u) {
-    if (u == removed) continue;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (v == removed || u == v) continue;
-      const double w = big.graph().weight(u, v);
-      if (w > 0.0) graph.set_weight(shifted(u), shifted(v), w);
-    }
-  }
-  Ordering order;
-  for (const int v : big.order()) {
-    if (static_cast<std::size_t>(v) == removed) continue;
-    order.push_back(static_cast<int>(shifted(static_cast<std::size_t>(v))));
-  }
-  std::vector<ValuationPtr> valuations;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (v != removed) valuations.push_back(big.valuations()[v]);
-  }
-  return AuctionInstance(std::move(graph), std::move(order),
-                         big.num_channels(), std::move(valuations), big.rho());
-}
-
-std::uint32_t positive_bundles(const AuctionInstance& instance, std::size_t v) {
-  std::uint32_t count = 0;
-  for (Bundle t = 1; t < num_bundles(instance.num_channels()); ++t) {
-    if (instance.value(v, t) > 0.0) ++count;
-  }
-  return count;
-}
-
 struct ChurnOutcome {
   double warm_rate = 0.0;
   long long cold_pivots = 0;
@@ -149,7 +109,7 @@ ChurnOutcome run_churn_stream(const AuctionInstance& base,
     const std::string key = structural_fingerprint(churned).hex();
     if (const service::BasisCacheEntry* entry = cache.lookup(key)) {
       banked = *entry;
-      context.hint = &banked.basis;
+      context.hint = &banked;
     }
     SolveOptions warm_options = options;
     warm_options.warm_context = &context;
@@ -160,13 +120,8 @@ ChurnOutcome run_churn_stream(const AuctionInstance& base,
     if (!wire::reports_payload_equal(warm, cold)) {
       outcome.payload_identical = false;
     }
-    if (context.has_export) {
-      cache.insert(key,
-                   service::BasisCacheEntry{
-                       std::move(context.exported),
-                       static_cast<std::uint32_t>(churned.num_bidders()),
-                       static_cast<std::uint32_t>(churned.num_channels()),
-                       std::move(context.columns_per_bidder)});
+    if (!context.exported.empty()) {
+      cache.insert(key, std::move(context.exported));
     }
   }
   if (variants > 0) {
@@ -175,9 +130,12 @@ ChurnOutcome run_churn_stream(const AuctionInstance& base,
   return outcome;
 }
 
-void churn_experiment(std::size_t scenarios, std::size_t variants) {
+/// Runs the churn grid; returns whether every warm payload matched its
+/// cold twin.
+bool churn_experiment(std::size_t scenarios, std::size_t variants) {
   Table table({"scenario", "n", "k", "warm rate", "pivots cold", "pivots warm",
                "ratio", "wall ratio", "payload=="});
+  bool identical = true;
   std::vector<double> ratios;
   std::vector<double> wall_ratios;
   for (std::size_t s = 0; s < scenarios; ++s) {
@@ -197,6 +155,7 @@ void churn_experiment(std::size_t scenarios, std::size_t variants) {
                                   : 0.0;
     ratios.push_back(ratio);
     wall_ratios.push_back(wall_ratio);
+    identical = identical && outcome.payload_identical;
     const std::string name = "e14/churn/s" + std::to_string(s);
     table.add_row({name, Table::integer(static_cast<long long>(n)),
                    Table::integer(k), Table::num(outcome.warm_rate, 2),
@@ -227,70 +186,7 @@ void churn_experiment(std::size_t scenarios, std::size_t variants) {
       "e14/churn/median", 0.0, 0.0, "lp-rounding",
       {{"median_pivot_ratio", median},
        {"median_wall_ratio", wall_median}}});
-}
-
-void delta_experiment(std::size_t scenarios) {
-  Table table({"scenario", "direction", "warm", "pivots cold", "pivots warm"});
-  for (std::size_t s = 0; s < scenarios; ++s) {
-    const std::size_t n = 18 + 2 * (s % 3);
-    const AuctionInstance big = gen::make_disk_auction(
-        n, 3, gen::ValuationMix::kMixed, 2100 + 13 * s);
-    const AuctionInstance small = drop_bidder(big, big.num_bidders() - 1);
-
-    // Donor solves (also the cold baselines of the opposite direction).
-    LpWarmStart big_donor;
-    lp::BasisSnapshot big_basis;
-    std::vector<std::uint32_t> big_columns;
-    big_donor.exported = &big_basis;
-    big_donor.columns_per_bidder = &big_columns;
-    const FractionalSolution big_cold = solve_auction_lp(big, {}, &big_donor);
-
-    LpWarmStart small_donor;
-    lp::BasisSnapshot small_basis;
-    std::vector<std::uint32_t> small_columns;
-    small_donor.exported = &small_basis;
-    small_donor.columns_per_bidder = &small_columns;
-    const FractionalSolution small_cold =
-        solve_auction_lp(small, {}, &small_donor);
-
-    // Grow: small's basis remapped onto big (the appended bidder's rows
-    // come up slack-basic, phase 1 repairs them).
-    const lp::BasisSnapshot grow_hint = remap_basis_for_added_bidder(
-        small_basis, small.num_bidders(), big.num_channels(), small_columns,
-        positive_bundles(big, big.num_bidders() - 1));
-    LpWarmStart grow;
-    grow.hint = &grow_hint;
-    const FractionalSolution grow_warm = solve_auction_lp(big, {}, &grow);
-
-    // Shrink: big's basis remapped onto small.
-    const lp::BasisSnapshot shrink_hint = remap_basis_for_removed_bidder(
-        big_basis, big.num_bidders(), big.num_channels(),
-        static_cast<int>(big.num_bidders() - 1), big_columns);
-    LpWarmStart shrink;
-    shrink.hint = &shrink_hint;
-    const FractionalSolution shrink_warm = solve_auction_lp(small, {}, &shrink);
-
-    const std::string label = "s" + std::to_string(s);
-    table.add_row({label, "add", grow.warm_started ? "yes" : "no",
-                   Table::integer(big_cold.pivots),
-                   Table::integer(grow_warm.pivots)});
-    table.add_row({label, "remove", shrink.warm_started ? "yes" : "no",
-                   Table::integer(small_cold.pivots),
-                   Table::integer(shrink_warm.pivots)});
-    bench::record(bench::BenchRecord{
-        "e14/delta/add/" + label, 0.0, 0.0, "lp",
-        {{"warm_started", grow.warm_started ? 1.0 : 0.0},
-         {"cold_pivots", static_cast<double>(big_cold.pivots)},
-         {"warm_pivots", static_cast<double>(grow_warm.pivots)}}});
-    bench::record(bench::BenchRecord{
-        "e14/delta/remove/" + label, 0.0, 0.0, "lp",
-        {{"warm_started", shrink.warm_started ? 1.0 : 0.0},
-         {"cold_pivots", static_cast<double>(small_cold.pivots)},
-         {"warm_pivots", static_cast<double>(shrink_warm.pivots)}}});
-  }
-  bench::print_experiment(
-      "E14: delta re-solve (one bidder added / removed, remapped basis)",
-      table, "");
+  return identical;
 }
 
 const AuctionInstance& bm_instance() {
@@ -324,9 +220,10 @@ BENCHMARK(BM_WarmLpSolve);
 }  // namespace
 
 int main(int argc, char** argv) {
-  return ssa::bench::run(argc, argv, [] {
-    churn_experiment(env_count("SSA_E14_SCENARIOS", 6),
-                     env_count("SSA_E14_VARIANTS", 20));
-    delta_experiment(env_count("SSA_E14_SCENARIOS", 6));
+  bool identical = true;
+  const int status = ssa::bench::run(argc, argv, [&] {
+    identical = churn_experiment(env_count("SSA_E14_SCENARIOS", 6),
+                                 env_count("SSA_E14_VARIANTS", 20));
   });
+  return identical ? status : 1;
 }

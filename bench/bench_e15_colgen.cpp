@@ -6,14 +6,14 @@
 // over with rescaled bundle values -- but here the instances sit BEYOND the
 // k <= 12 explicit-enumeration cap, so the only LP path is the restricted
 // master + pricing oracle. Cold, every arrival regrows its column set from
-// nothing, one oracle round at a time; warm, the per-structure column pool
-// (service/column_pool_cache.hpp, keyed by the structural fingerprint)
-// seeds the restricted master with the donor's generated columns and the
-// oracle usually just certifies optimality in a single round.
+// nothing, one oracle round at a time; warm, the per-structure warm state
+// (service/basis_cache.hpp, keyed by the structural fingerprint) seeds the
+// restricted master with the donor's generated columns and the oracle
+// usually just certifies optimality in a single round.
 //
 //   e15/churn/*  -- S scenarios (k = 13/14, past the explicit cap) x V
 //                   support-preserving variants, solved cold (no pool) and
-//                   warm (ColumnPoolCache, the service's exact key path).
+//                   warm (BasisCache, the service's exact key path).
 //                   Reports per scenario: warm-hit rate, total oracle
 //                   rounds and master pivots cold vs warm, the pivot and
 //                   round ratios, generated-column totals, and whether
@@ -28,7 +28,8 @@
 // cold/warm wall-clock ratio of the summed solver wall time ride along):
 // the seeded master both skips the column regrowth AND starts from the
 // donor's basis, so pivots capture the full saving. The roadmap target is
-// >= 2x.
+// >= 2x. Payload identity is asserted: the binary exits 1 when any warm
+// payload differs from its cold twin.
 // SSA_E15_SCENARIOS / SSA_E15_VARIANTS shrink the grid for CI smoke.
 // Every row lands in BENCH_bench_e15_colgen.json via bench_util.
 
@@ -46,7 +47,7 @@
 #include "bench_util.hpp"
 #include "core/asymmetric_colgen.hpp"
 #include "gen/scenario.hpp"
-#include "service/column_pool_cache.hpp"
+#include "service/basis_cache.hpp"
 #include "support/fingerprint.hpp"
 #include "support/random.hpp"
 #include "wire/codec.hpp"
@@ -100,7 +101,7 @@ ChurnOutcome run_churn_stream(const AsymmetricInstance& base,
   options.seed = 7;
   options.pipeline.rounding_repetitions = 8;
 
-  service::ColumnPoolCache cache(64);
+  service::BasisCache cache(64);
   Rng rng(seed);
   ChurnOutcome outcome;
   AsymmetricInstance churned = base;
@@ -117,11 +118,11 @@ ChurnOutcome run_churn_stream(const AsymmetricInstance& base,
     // fingerprint, seed the restricted master from the banked pool,
     // re-bank this run's export.
     WarmStartContext context;
-    AsymmetricColumnPool banked;
+    WarmState banked;
     const std::string key = structural_fingerprint(churned).hex();
-    if (const AsymmetricColumnPool* pool = cache.lookup(key)) {
-      banked = *pool;
-      context.pool_hint = &banked;
+    if (const WarmState* entry = cache.lookup(key)) {
+      banked = *entry;
+      context.hint = &banked;
     }
     SolveOptions warm_options = options;
     warm_options.warm_context = &context;
@@ -134,8 +135,8 @@ ChurnOutcome run_churn_stream(const AsymmetricInstance& base,
     if (!wire::reports_payload_equal(warm, cold)) {
       outcome.payload_identical = false;
     }
-    if (context.has_pool_export) {
-      cache.insert(key, std::move(context.pool_exported));
+    if (!context.exported.empty()) {
+      cache.insert(key, std::move(context.exported));
     }
   }
   if (variants > 0) {
@@ -144,9 +145,12 @@ ChurnOutcome run_churn_stream(const AsymmetricInstance& base,
   return outcome;
 }
 
-void churn_experiment(std::size_t scenarios, std::size_t variants) {
+/// Runs the churn grid; returns whether every warm payload matched its
+/// cold twin.
+bool churn_experiment(std::size_t scenarios, std::size_t variants) {
   Table table({"scenario", "n", "k", "warm rate", "rounds c/w", "pivots cold",
                "pivots warm", "ratio", "wall ratio", "cols c/w", "payload=="});
+  bool identical = true;
   std::vector<double> pivot_ratios;
   std::vector<double> round_ratios;
   std::vector<double> wall_ratios;
@@ -171,6 +175,7 @@ void churn_experiment(std::size_t scenarios, std::size_t variants) {
     pivot_ratios.push_back(pivot_ratio);
     round_ratios.push_back(round_ratio);
     wall_ratios.push_back(wall_ratio);
+    identical = identical && outcome.payload_identical;
     const std::string name = "e15/churn/s" + std::to_string(s);
     table.add_row({name, Table::integer(static_cast<long long>(n)),
                    Table::integer(k), Table::num(outcome.warm_rate, 2),
@@ -213,6 +218,7 @@ void churn_experiment(std::size_t scenarios, std::size_t variants) {
       {{"median_pivot_ratio", pivot_median},
        {"median_round_ratio", round_median},
        {"median_wall_ratio", wall_median}}});
+  return identical;
 }
 
 const AsymmetricInstance& bm_instance() {
@@ -243,7 +249,7 @@ void BM_PoolWarmColgenSolve(benchmark::State& state) {
   (void)solver->solve(instance, donor_options);
   for (auto _ : state) {
     WarmStartContext context;
-    context.pool_hint = &donor.pool_exported;
+    context.hint = &donor.exported;
     SolveOptions warm_options = options;
     warm_options.warm_context = &context;
     benchmark::DoNotOptimize(solver->solve(instance, warm_options));
@@ -254,8 +260,10 @@ BENCHMARK(BM_PoolWarmColgenSolve);
 }  // namespace
 
 int main(int argc, char** argv) {
-  return ssa::bench::run(argc, argv, [] {
-    churn_experiment(env_count("SSA_E15_SCENARIOS", 6),
-                     env_count("SSA_E15_VARIANTS", 20));
+  bool identical = true;
+  const int status = ssa::bench::run(argc, argv, [&] {
+    identical = churn_experiment(env_count("SSA_E15_SCENARIOS", 6),
+                                 env_count("SSA_E15_VARIANTS", 20));
   });
+  return identical ? status : 1;
 }

@@ -21,7 +21,6 @@
 
 #include "api/admission.hpp"
 #include "api/any_instance.hpp"
-#include "core/asymmetric_colgen.hpp"
 #include "core/auction_lp.hpp"
 #include "core/exact.hpp"
 #include "core/instance.hpp"
@@ -36,30 +35,19 @@ namespace ssa {
 /// shared \p seed subsumes the section-level seed fields (PipelineOptions::
 /// seed, MechanismOptions::sample_seed, DecompositionOptions::seed): adapters
 /// overwrite them with \p seed so one knob reproduces any run.
-/// Runtime-only warm-start side channel a caller (the AuctionService worker,
-/// the E14 bench) threads through SolveOptions::warm_context. Never
-/// serialized and never part of any cache key: a warm-started solve is
-/// payload-identical to the cold solve of the same instance (lp/simplex.hpp
-/// explains why), so the hint cannot change what a cached report would say.
-/// `hint` is consumed when SolveOptions::warm_start allows it; `exported` /
-/// `columns_per_bidder` are filled (has_export = true) after an optimal
-/// explicit-path LP solve so the caller can bank the basis for the next
-/// structurally identical instance.
+/// Runtime-only warm-start side channel a caller (the AuctionService
+/// worker, the E14/E15 benches) threads through SolveOptions::warm_context.
+/// Never serialized and never part of any cache key: a warm-started solve
+/// is payload-identical to the cold solve of the same instance
+/// (lp/simplex.hpp explains why), so the hint cannot change what a cached
+/// report would say. `hint` is consumed when SolveOptions::warm_start
+/// allows it: "lp-rounding"'s explicit LP installs its basis and
+/// "asymmetric-colgen" seeds its master with its columns. `exported`
+/// receives what this run leaves for the next structurally identical
+/// instance; it stays empty when there is nothing to bank.
 struct WarmStartContext {
-  const lp::BasisSnapshot* hint = nullptr;  ///< in: basis to install, or null
-  lp::BasisSnapshot exported;               ///< out: optimal basis of this run
-  bool has_export = false;                  ///< out: `exported` is valid
-  /// out: structural column span per bidder (delta-remap input).
-  std::vector<std::uint32_t> columns_per_bidder;
-  /// in: donor column pool for "asymmetric-colgen" (null for other solvers
-  /// or cold solves) -- seeds the restricted master and warm-starts its
-  /// first basis. Same discipline as `hint`: runtime-only, never a cache
-  /// key, payload-invariant by construction.
-  const AsymmetricColumnPool* pool_hint = nullptr;
-  /// out: this run's generated column pool + terminal basis, for banking
-  /// in the service's per-shard ColumnPoolCache.
-  AsymmetricColumnPool pool_exported;
-  bool has_pool_export = false;  ///< out: `pool_exported` is valid
+  const WarmState* hint = nullptr;  ///< in: banked state to replay, or null
+  WarmState exported;               ///< out: this run's warm state
 };
 
 struct SolveOptions {
@@ -88,11 +76,10 @@ struct SolveOptions {
   /// NOT part of the service cache key -- the payload is warm/cold-invariant
   /// by construction, so both settings map to the same cached report.
   bool warm_start = true;
-  /// Runtime-only basis side channel (see WarmStartContext). Null for plain
-  /// solves; the wire codec never carries it and the service result cache
-  /// never keys on it. "lp-rounding"'s explicit LP path consumes the basis
-  /// fields and "asymmetric-colgen" the column-pool fields; every other
-  /// solver leaves it untouched.
+  /// Runtime-only warm-state side channel (see WarmStartContext). Null for
+  /// plain solves; the wire codec never carries it and the service result
+  /// cache never keys on it. "lp-rounding"'s explicit LP path and
+  /// "asymmetric-colgen" use it; every other solver leaves it untouched.
   WarmStartContext* warm_context = nullptr;
   /// Runtime-only trace coordinates of the submitting hop (obs/span.hpp):
   /// {trace id, parent span id} the service's per-request spans link

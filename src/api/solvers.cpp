@@ -95,16 +95,18 @@ class LpRoundingSolver final : public SymmetricSolver {
     // The hint is honored only when warm_start allows it; the export side
     // always runs so a cold solve still banks its basis for the next call.
     LpWarmStart warm;
-    if (options.warm_context != nullptr) {
-      if (options.warm_start) warm.hint = options.warm_context->hint;
-      warm.exported = &options.warm_context->exported;
-      warm.columns_per_bidder = &options.warm_context->columns_per_bidder;
+    if (WarmStartContext* context = options.warm_context) {
+      if (options.warm_start && context->hint != nullptr) {
+        warm.hint = &context->hint->basis;
+      }
+      warm.exported = &context->exported.basis;
+      context->exported.num_bidders =
+          static_cast<std::uint32_t>(instance.num_bidders());
+      context->exported.num_channels =
+          static_cast<std::uint32_t>(instance.num_channels());
       pipeline.warm = &warm;
     }
     const PipelineResult result = solve_pipeline(instance, pipeline);
-    if (options.warm_context != nullptr) {
-      options.warm_context->has_export = !options.warm_context->exported.empty();
-    }
     // An LP that failed for any reason other than the time budget (pivot
     // limit, infeasibility) is an error, not a silent zero-welfare report.
     if (result.fractional.status != lp::SolveStatus::kOptimal &&
@@ -358,20 +360,16 @@ class AsymmetricColgenSolver final : public AsymmetricSolver {
 
     AsymmetricColGenOptions colgen;
     colgen.simplex.deadline = deadline;
-    // Bridge the runtime-only column-pool side channel. The donor pool is
-    // honored only when warm_start allows it; the export side always runs
-    // so a cold solve still banks its pool for the next churn variant.
+    // Bridge the runtime-only warm-state side channel. The donor columns
+    // are honored only when warm_start allows it; the export side always
+    // runs so a cold solve still banks its columns for the next variant.
     if (options.warm_context != nullptr) {
-      if (options.warm_start) colgen.pool = options.warm_context->pool_hint;
-      colgen.pool_export = &options.warm_context->pool_exported;
+      if (options.warm_start) colgen.pool = options.warm_context->hint;
+      colgen.pool_export = &options.warm_context->exported;
     }
     AsymmetricColGenStats stats;
     const FractionalSolution lp =
         solve_asymmetric_lp_colgen(instance, &stats, colgen);
-    if (options.warm_context != nullptr) {
-      options.warm_context->has_pool_export =
-          !options.warm_context->pool_exported.empty();
-    }
 
     SolveReport report;
     report.params = "reps=" + std::to_string(pipeline.rounding_repetitions) +

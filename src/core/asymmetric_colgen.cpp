@@ -47,10 +47,10 @@ FractionalSolution solve_asymmetric_lp_colgen(
   };
 
   std::vector<lp::PricedColumn> seeds;
-  const AsymmetricColumnPool* pool = options.pool;
-  const bool pool_compatible = pool != nullptr && !pool->empty() &&
-                               pool->num_bidders == n &&
-                               pool->num_channels == k;
+  const WarmState* pool = options.pool;
+  const bool pool_compatible =
+      pool != nullptr && !pool->columns.empty() && pool->num_bidders == n &&
+      pool->num_channels == static_cast<std::uint32_t>(k);
   if (pool_compatible) {
     seeds.reserve(pool->columns.size());
     for (const auto& [v, t] : pool->columns) {
@@ -144,12 +144,12 @@ FractionalSolution solve_asymmetric_lp_colgen(
     stats->pivots = run.pivots;
   }
   if (options.pool_export != nullptr) {
-    *options.pool_export = AsymmetricColumnPool{};
-    if (run.solution.status == lp::SolveStatus::kOptimal) {
-      options.pool_export->columns.assign(meaning.begin(), meaning.end());
+    *options.pool_export = WarmState{};
+    if (run.solution.status == lp::SolveStatus::kOptimal && !meaning.empty()) {
       options.pool_export->basis = terminal_basis;  // empty unless proven
       options.pool_export->num_bidders = static_cast<std::uint32_t>(n);
-      options.pool_export->num_channels = k;
+      options.pool_export->num_channels = static_cast<std::uint32_t>(k);
+      options.pool_export->columns.assign(meaning.begin(), meaning.end());
     }
   }
 

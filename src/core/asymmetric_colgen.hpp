@@ -13,11 +13,11 @@
 /// feasibility cut on the dual -- the loop itself lives in lp/benders.hpp.
 ///
 /// Warm starts: a donor run's generated columns plus terminal basis form
-/// an AsymmetricColumnPool, keyed by structural_fingerprint in the
-/// service's per-shard ColumnPoolCache. Seeding a churn variant's master
-/// with the donor pool collapses the oracle loop to the handful of rounds
-/// that churn actually changed, and the donor basis warm-starts the first
-/// master solve (composing with PR 8's basis reuse).
+/// a WarmState (core/auction_lp.hpp), keyed by structural_fingerprint in
+/// the service's per-shard warm store. Seeding a churn variant's master
+/// with the donor's columns collapses the oracle loop to the handful of
+/// rounds that churn actually changed, and the donor basis warm-starts the
+/// first master solve.
 ///
 /// Payload identity (warm == cold, bitwise): for k <=
 /// kLiftedDemandChannels both the master objective AND the oracle use the
@@ -33,8 +33,6 @@
 /// valuation's own (unlifted) demand closed form and identity is only
 /// generic, exactly like the symmetric colgen path.
 
-#include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/asymmetric.hpp"
@@ -42,19 +40,6 @@
 #include "lp/benders.hpp"
 
 namespace ssa {
-
-/// A donor run's column pool: the (bidder, bundle) meanings of every
-/// master column it generated plus its terminal simplex basis. Runtime
-/// only -- never serialized, never snapshotted (like BasisSnapshot, it is
-/// an in-memory warm-start artifact keyed by structural fingerprint).
-struct AsymmetricColumnPool {
-  std::vector<std::pair<std::uint32_t, Bundle>> columns;
-  lp::BasisSnapshot basis;
-  std::uint32_t num_bidders = 0;
-  int num_channels = 0;
-
-  [[nodiscard]] bool empty() const noexcept { return columns.empty(); }
-};
 
 /// Diagnostics of one colgen solve (SolveReport surfaces rounds/columns).
 struct AsymmetricColGenStats {
@@ -72,13 +57,14 @@ inline constexpr int kLiftedDemandChannels = kEnumerationChannelLimit;
 struct AsymmetricColGenOptions {
   int max_rounds = 500;
   lp::SimplexOptions simplex = {};
-  /// Donor pool to seed the master with; ignored when its dimensions do
-  /// not match the instance. The donor basis warm-starts the first solve
-  /// (cold fallback on any incompatibility).
-  const AsymmetricColumnPool* pool = nullptr;
+  /// Donor columns to seed the master with; ignored when they are absent
+  /// or their dimensions do not match the instance. The donor basis
+  /// warm-starts the first solve (cold fallback on any incompatibility).
+  const WarmState* pool = nullptr;
   /// When non-null, receives this run's full column set and terminal
-  /// basis for banking (cleared when the solve did not reach optimality).
-  AsymmetricColumnPool* pool_export = nullptr;
+  /// basis for banking (left empty when the solve did not reach
+  /// optimality or generated no column).
+  WarmState* pool_export = nullptr;
 };
 
 /// Solves the asymmetric LP by demand-oracle column generation; works for

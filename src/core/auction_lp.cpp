@@ -98,18 +98,12 @@ FractionalSolution solve_auction_lp(const AuctionInstance& instance,
   }
   lp::LinearProgram master = build_master_rows(instance);
   std::vector<std::pair<int, Bundle>> meaning;
-  if (warm != nullptr && warm->columns_per_bidder != nullptr) {
-    warm->columns_per_bidder->assign(instance.num_bidders(), 0);
-  }
   for (std::size_t v = 0; v < instance.num_bidders(); ++v) {
     for (Bundle t = 1; t < num_bundles(k); ++t) {
       if (instance.value(v, t) <= 0.0) continue;
       master.add_column(explicit_objective(instance, v, t),
                         bundle_column(instance, static_cast<int>(v), t));
       meaning.emplace_back(static_cast<int>(v), t);
-      if (warm != nullptr && warm->columns_per_bidder != nullptr) {
-        ++(*warm->columns_per_bidder)[v];
-      }
     }
   }
   lp::SimplexEngine engine(options);
@@ -128,132 +122,6 @@ FractionalSolution solve_auction_lp(const AuctionInstance& instance,
     }
   }
   return extract_fractional(solution, meaning);
-}
-
-namespace {
-
-/// Slack-of-row snapshot entry (the cold default of a basis position).
-[[nodiscard]] lp::BasisSnapshot::Entry slack_entry(std::int32_t row) {
-  return {lp::BasisSnapshot::Kind::kSlack, row};
-}
-
-}  // namespace
-
-lp::BasisSnapshot remap_basis_for_added_bidder(
-    const lp::BasisSnapshot& basis, std::size_t old_n, int k,
-    const std::vector<std::uint32_t>& old_columns_per_bidder,
-    std::uint32_t new_bidder_columns) {
-  const std::size_t old_rows = old_n * static_cast<std::size_t>(k) + old_n;
-  std::uint32_t old_structurals = 0;
-  for (const std::uint32_t count : old_columns_per_bidder) {
-    old_structurals += count;
-  }
-  if (basis.rows != old_rows || basis.structurals != old_structurals ||
-      old_columns_per_bidder.size() != old_n) {
-    throw std::invalid_argument(
-        "remap_basis_for_added_bidder: snapshot does not match the donor "
-        "instance's dimensions");
-  }
-  // Row remap: channel rows (u, j) with u < old_n keep their index; the
-  // convexity row of v moves from old_n*k + v to (old_n+1)*k + v.
-  const auto remap_row = [&](std::int32_t row) {
-    const std::int32_t channel_rows =
-        static_cast<std::int32_t>(old_n) * static_cast<std::int32_t>(k);
-    if (row < channel_rows) return row;
-    return row + static_cast<std::int32_t>(k);
-  };
-
-  lp::BasisSnapshot grown;
-  grown.rows = static_cast<std::uint32_t>((old_n + 1) * static_cast<std::size_t>(k) +
-                                          old_n + 1);
-  grown.structurals = old_structurals + new_bidder_columns;
-  grown.basic.resize(grown.rows);
-  // Every position starts as its row's slack: the new bidder's channel and
-  // convexity rows come up slack-basic and the install-time repair absorbs
-  // whatever interference the old allocation pushes onto them.
-  for (std::uint32_t i = 0; i < grown.rows; ++i) {
-    grown.basic[i] = slack_entry(static_cast<std::int32_t>(i));
-  }
-  for (std::size_t i = 0; i < basis.basic.size(); ++i) {
-    lp::BasisSnapshot::Entry entry = basis.basic[i];
-    if (entry.kind != lp::BasisSnapshot::Kind::kStructural) {
-      entry.index = remap_row(entry.index);
-    }
-    grown.basic[static_cast<std::size_t>(
-        remap_row(static_cast<std::int32_t>(i)))] = entry;
-  }
-  return grown;
-}
-
-lp::BasisSnapshot remap_basis_for_removed_bidder(
-    const lp::BasisSnapshot& basis, std::size_t old_n, int k, int removed,
-    const std::vector<std::uint32_t>& old_columns_per_bidder) {
-  const std::size_t old_rows = old_n * static_cast<std::size_t>(k) + old_n;
-  std::uint32_t old_structurals = 0;
-  for (const std::uint32_t count : old_columns_per_bidder) {
-    old_structurals += count;
-  }
-  if (basis.rows != old_rows || basis.structurals != old_structurals ||
-      old_columns_per_bidder.size() != old_n || removed < 0 ||
-      static_cast<std::size_t>(removed) >= old_n) {
-    throw std::invalid_argument(
-        "remap_basis_for_removed_bidder: snapshot does not match the donor "
-        "instance's dimensions");
-  }
-  const std::size_t new_n = old_n - 1;
-  // Column spans per bidder in the donor's structural numbering.
-  std::vector<std::uint32_t> start(old_n + 1, 0);
-  for (std::size_t v = 0; v < old_n; ++v) {
-    start[v + 1] = start[v] + old_columns_per_bidder[v];
-  }
-  const auto remap_column = [&](std::int32_t column) -> std::int32_t {
-    const std::uint32_t c = static_cast<std::uint32_t>(column);
-    if (c < start[static_cast<std::size_t>(removed)]) return column;
-    if (c < start[static_cast<std::size_t>(removed) + 1]) return -1;
-    return column - static_cast<std::int32_t>(
-                        old_columns_per_bidder[static_cast<std::size_t>(removed)]);
-  };
-  const auto remap_row = [&](std::int32_t row) -> std::int32_t {
-    const std::int32_t channel_rows =
-        static_cast<std::int32_t>(old_n) * static_cast<std::int32_t>(k);
-    if (row < channel_rows) {
-      const std::int32_t u = row / k;
-      if (u < removed) return row;
-      if (u == removed) return -1;
-      return row - k;
-    }
-    const std::int32_t v = row - channel_rows;
-    if (v < removed) {
-      return static_cast<std::int32_t>(new_n) * k + v;
-    }
-    if (v == removed) return -1;
-    return static_cast<std::int32_t>(new_n) * k + v - 1;
-  };
-
-  lp::BasisSnapshot shrunk;
-  shrunk.rows =
-      static_cast<std::uint32_t>(new_n * static_cast<std::size_t>(k) + new_n);
-  shrunk.structurals =
-      old_structurals - old_columns_per_bidder[static_cast<std::size_t>(removed)];
-  shrunk.basic.resize(shrunk.rows);
-  for (std::uint32_t i = 0; i < shrunk.rows; ++i) {
-    shrunk.basic[i] = slack_entry(static_cast<std::int32_t>(i));
-  }
-  for (std::size_t i = 0; i < basis.basic.size(); ++i) {
-    const std::int32_t position = remap_row(static_cast<std::int32_t>(i));
-    if (position < 0) continue;  // the removed bidder's own rows
-    lp::BasisSnapshot::Entry entry = basis.basic[i];
-    if (entry.kind == lp::BasisSnapshot::Kind::kStructural) {
-      entry.index = remap_column(entry.index);
-    } else {
-      entry.index = remap_row(entry.index);
-    }
-    // Orphaned references (the removed bidder's columns or rows) keep the
-    // position's slack; install-time repair finishes the job.
-    if (entry.index < 0) continue;
-    shrunk.basic[static_cast<std::size_t>(position)] = entry;
-  }
-  return shrunk;
 }
 
 FractionalSolution solve_auction_lp_colgen(

@@ -47,15 +47,31 @@ struct FractionalSolution {
 /// Warm-start side channel of the explicit LP path. Runtime-only: never
 /// serialized, never part of a cache key. `hint`, when set, is installed
 /// by the engine (falling back to a cold solve on any incompatibility --
-/// the payload is warm/cold-invariant, see lp/simplex.hpp); `exported`,
-/// when set, receives the optimal basis of this solve; and
-/// `columns_per_bidder`, when set, receives each bidder's structural
-/// column span, which is what the delta remaps below consume.
+/// the payload is warm/cold-invariant, see lp/simplex.hpp), and
+/// `exported`, when set, receives the optimal basis of this solve.
 struct LpWarmStart {
   const lp::BasisSnapshot* hint = nullptr;
-  lp::BasisSnapshot* exported = nullptr;                     ///< out
-  std::vector<std::uint32_t>* columns_per_bidder = nullptr;  ///< out
-  bool warm_started = false;                                 ///< out
+  lp::BasisSnapshot* exported = nullptr;  ///< out
+  bool warm_started = false;              ///< out
+};
+
+/// What one solve leaves for the next solve of the same structure
+/// (structural_fingerprint, support/fingerprint.hpp): its optimal basis,
+/// the dimensions it was banked for and, for the "asymmetric-colgen"
+/// master, the (bidder, bundle) meaning of every master column; an
+/// explicit-LP solve leaves `columns` empty. The one entry type of the
+/// service's per-shard warm store (service/basis_cache.hpp). Runtime-only
+/// like LpWarmStart: never serialized, never snapshotted, never a key.
+struct WarmState {
+  lp::BasisSnapshot basis;
+  std::uint32_t num_bidders = 0;
+  std::uint32_t num_channels = 0;
+  std::vector<std::pair<std::uint32_t, Bundle>> columns;
+
+  /// Nothing to replay: neither a basis nor columns.
+  [[nodiscard]] bool empty() const noexcept {
+    return basis.empty() && columns.empty();
+  }
 };
 
 /// Row index of constraint (u, j) in the master LP (needed by extensions).
@@ -126,33 +142,6 @@ template <typename Instance>
 [[nodiscard]] FractionalSolution solve_auction_lp(
     const AuctionInstance& instance, lp::SimplexOptions options = {},
     LpWarmStart* warm = nullptr);
-
-/// Remaps an optimal basis of instance A into a warm-start hint for A plus
-/// one bidder appended as vertex old_n (any ordering position): old channel
-/// rows and old structural columns keep their indices, old convexity rows
-/// shift past the new bidder's channel rows, and every new row starts with
-/// its own slack basic. The delta re-solve path: build the grown LP as
-/// usual, install the remapped basis, and let the engine's restricted
-/// phase-1 repair absorb the new bidder's rows instead of re-pivoting from
-/// scratch. \p old_columns_per_bidder and \p new_bidder_columns are the
-/// column spans of the donor solve and of the appended bidder (the latter
-/// = the new bidder's positive-value bundles).
-[[nodiscard]] lp::BasisSnapshot remap_basis_for_added_bidder(
-    const lp::BasisSnapshot& basis, std::size_t old_n, int k,
-    const std::vector<std::uint32_t>& old_columns_per_bidder,
-    std::uint32_t new_bidder_columns);
-
-/// Remaps an optimal basis of instance A into a warm-start hint for A with
-/// bidder \p removed truly dropped from the graph, later vertices shifted
-/// down by one. (Note this is NOT AuctionInstance::without_bidder, which
-/// zeroes the valuation but keeps the vertex and all its LP rows; the
-/// delta helpers model a bidder set that actually changed size.) The
-/// removed bidder's columns and
-/// rows leave the basis; every orphaned basis position falls back to the
-/// slack of its row, and install-time validation re-repairs the rest.
-[[nodiscard]] lp::BasisSnapshot remap_basis_for_removed_bidder(
-    const lp::BasisSnapshot& basis, std::size_t old_n, int k, int removed,
-    const std::vector<std::uint32_t>& old_columns_per_bidder);
 
 /// Statistics of a column-generation solve (E6 measures these).
 struct ColGenStats {

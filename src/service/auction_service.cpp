@@ -15,7 +15,6 @@
 #include "api/registry.hpp"
 #include "api/scheduler.hpp"
 #include "service/basis_cache.hpp"
-#include "service/column_pool_cache.hpp"
 #include "service/result_cache.hpp"
 #include "support/deadline.hpp"
 #include "support/parallel.hpp"
@@ -67,7 +66,7 @@ struct AuctionService::Request {
   std::string solver;
   SolveOptions options;
   Fingerprint key;
-  /// Basis-cache key: the STRUCTURAL fingerprint hex (valuations excluded),
+  /// Warm-store key: the STRUCTURAL fingerprint hex (valuations excluded),
   /// so value-perturbed variants of one structure share a slot. Unlike
   /// `key`, never used for result lookup -- only for warm-start hints.
   std::string structural_key;
@@ -104,9 +103,8 @@ struct AuctionService::Request {
 /// fingerprint), so shards never contend with each other.
 struct AuctionService::Shard {
   Shard(const SchedulerOptions& scheduler_options, std::size_t cache_bytes,
-        std::size_t basis_entries, std::size_t pool_entries)
-      : cache(cache_bytes), bases(basis_entries), pools(pool_entries),
-        scheduler(scheduler_options) {}
+        std::size_t warm_entries)
+      : cache(cache_bytes), bases(warm_entries), scheduler(scheduler_options) {}
 
   /// A request attached to an in-flight leader; completed from the
   /// leader's report with coalesced = true and its own queue wait.
@@ -118,14 +116,11 @@ struct AuctionService::Shard {
   std::mutex mutex;
   std::condition_variable completed_cv;
   ResultCache cache;
-  /// Warm-start bases keyed by structural fingerprint; guarded by `mutex`
-  /// like the result cache. Never snapshotted: restore_snapshot leaves it
-  /// empty by design (a basis is a hint, warmth refills from traffic).
+  /// The warm store: bases and colgen columns keyed by structural
+  /// fingerprint; guarded by `mutex` like the result cache. Never
+  /// snapshotted: restore_snapshot leaves it empty by design (an entry is
+  /// a hint, warmth refills from traffic).
   BasisCache bases;
-  /// Generated column pools of clean "asymmetric-colgen" solves, keyed by
-  /// the same structural fingerprint and under the same never-snapshotted
-  /// hint discipline as `bases`.
-  ColumnPoolCache pools;
   /// Pending requests (owned until their worker finishes) and completed
   /// reports awaiting their get()/try_get() claim.
   std::unordered_map<RequestId, std::shared_ptr<Request>> pending;
@@ -190,8 +185,7 @@ AuctionService::AuctionService(ServiceOptions options)
   for (int s = 0; s < shard_count; ++s) {
     shards_.push_back(std::make_unique<Shard>(
         scheduler_options, options_.cache_bytes_per_shard,
-        options_.basis_cache_entries_per_shard,
-        options_.column_pool_entries_per_shard));
+        options_.basis_cache_entries_per_shard));
   }
   if (!options_.snapshot_path.empty()) restore_snapshot();
 }
@@ -213,10 +207,10 @@ AuctionService::Shard& AuctionService::shard_of(RequestId id) const {
 }
 
 void AuctionService::restore_snapshot() {
-  // Restores RESULT caches only. The per-shard basis and column-pool
-  // caches deliberately start cold: both are runtime hints tied to this
-  // build's simplex internals, and the first solve of each structure
-  // simply re-banks one (test_service pins this contract).
+  // Restores RESULT caches only. The per-shard warm stores deliberately
+  // start cold: their entries are runtime hints tied to this build's
+  // simplex internals, and the first solve of each structure simply
+  // re-banks one (test_service pins this contract).
   try {
     std::ifstream in(options_.snapshot_path, std::ios::binary);
     if (!in) return;  // no snapshot yet: cold start
@@ -425,32 +419,27 @@ RequestId AuctionService::submit(const AnyInstance& instance,
                     .count();
             effective.time_budget_seconds = std::max(1e-9, remaining);
           }
-          // Warm start: replay the banked optimal basis of this structure,
-          // if any. The entry is copied out under the shard lock so the
-          // hint stays stable while the solver runs (the next insert may
-          // evict the cache's copy); a stale or incompatible hint costs
-          // one failed install and a cold solve, never a wrong result.
+          // Warm start: replay the banked warm state of this structure, if
+          // any, unless the request opted out. The entry is copied out
+          // under the shard lock so the hint stays stable while the solver
+          // runs (the next insert may evict the store's copy); a stale or
+          // incompatible hint costs a cold solve, never a wrong result.
           WarmStartContext warm;
-          BasisCacheEntry banked;
-          AsymmetricColumnPool banked_pool;
-          {
-            const std::lock_guard<std::mutex> basis_lock(shard.mutex);
-            if (const BasisCacheEntry* entry =
+          WarmState banked;
+          if (request->options.warm_start) {
+            const std::lock_guard<std::mutex> store_lock(shard.mutex);
+            if (const WarmState* entry =
                     shard.bases.lookup(request->structural_key)) {
               banked = *entry;
-              warm.hint = &banked.basis;
-            }
-            if (const AsymmetricColumnPool* pool =
-                    shard.pools.lookup(request->structural_key)) {
-              banked_pool = *pool;
-              warm.pool_hint = &banked_pool;
+              warm.hint = &banked;
             }
           }
           // Hint-serve counters tick on lookup success, not on install
           // success (warm_starts covers the latter): the gap between the
           // two is the stale-hint rate.
-          if (warm.hint != nullptr) basis_hits_.add();
-          if (warm.pool_hint != nullptr) pool_hits_.add();
+          if (warm.hint != nullptr) {
+            (banked.columns.empty() ? basis_hits_ : pool_hits_).add();
+          }
           effective.warm_context = &warm;
           solves_.add();
           if (options_.on_solve) {
@@ -519,24 +508,12 @@ RequestId AuctionService::submit(const AnyInstance& instance,
               } catch (...) {
                 // Uncached is merely slower; the report still completes.
               }
-              // Bank the optimal basis under the same "clean run" gate: a
-              // truncated or failed LP has no basis worth replaying.
-              if (warm.has_export) {
-                const AnyInstance solved = request->view();
-                shard.bases.insert(
-                    request->structural_key,
-                    BasisCacheEntry{
-                        std::move(warm.exported),
-                        static_cast<std::uint32_t>(solved.num_bidders()),
-                        static_cast<std::uint32_t>(solved.num_channels()),
-                        std::move(warm.columns_per_bidder)});
-              }
-              // Same gate for the colgen column pool: only a clean run's
-              // pool (oracle-certified master, terminal basis) is worth
-              // seeding the next churn variant with.
-              if (warm.has_pool_export) {
-                shard.pools.insert(request->structural_key,
-                                   std::move(warm.pool_exported));
+              // Bank the warm state under the same "clean run" gate: a
+              // truncated or failed LP has no basis or columns worth
+              // replaying.
+              if (!warm.exported.empty()) {
+                shard.bases.insert(request->structural_key,
+                                   std::move(warm.exported));
               }
             }
             // Fan the report out to every coalesced follower: bitwise the
@@ -787,20 +764,17 @@ obs::TelemetrySnapshot AuctionService::telemetry() const {
   std::uint64_t entries = 0;
   std::uint64_t bytes = 0;
   std::uint64_t bases = 0;
-  std::uint64_t pools = 0;
   for (const std::unique_ptr<Shard>& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mutex);
     entries += shard->cache.entries();
     bytes += shard->cache.bytes();
     bases += shard->bases.entries();
-    pools += shard->pools.entries();
   }
   registry_.gauge("service.cache_entries")
       .set(static_cast<std::int64_t>(entries));
   registry_.gauge("service.cache_bytes").set(static_cast<std::int64_t>(bytes));
   registry_.gauge("service.basis_entries")
       .set(static_cast<std::int64_t>(bases));
-  registry_.gauge("service.pool_entries").set(static_cast<std::int64_t>(pools));
   return registry_.snapshot();
 }
 

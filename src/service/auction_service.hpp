@@ -55,20 +55,20 @@
 /// cache never held the entry). Followers are always admitted --
 /// attaching costs no worker time.
 ///
-/// Warm starting. Each shard also keeps a small LRU of optimal simplex
-/// bases keyed by the STRUCTURAL fingerprint of the instance (graph,
-/// ordering, rho -- valuations excluded, support/fingerprint.hpp): a
-/// value-perturbed resubmission of a known structure hands its LP the
+/// Warm starting. Each shard also keeps one small LRU warm store keyed by
+/// the STRUCTURAL fingerprint of the instance (graph, ordering, rho --
+/// valuations excluded, support/fingerprint.hpp; service/basis_cache.hpp).
+/// A value-perturbed resubmission of a known structure hands its LP the
 /// previous optimal basis as a starting point instead of pivoting from
-/// scratch (SolveReport::warm_started, ServiceStats::warm_starts). A
-/// second LRU banks the generated column pools of "asymmetric-colgen"
-/// solves under the same structural key (column_pool_cache.hpp): a churn
-/// variant's restricted master starts from the donor's column set and
-/// terminal basis instead of regrowing it oracle round by oracle round
-/// (ServiceStats::colgen_warm). Purely latency optimizations: the LP
-/// layer guarantees a warm-started solve produces the same payload as a
-/// cold one (lp/simplex.hpp, asymmetric_colgen.hpp), and any stale or
-/// incompatible hint falls back to a cold solve.
+/// scratch (SolveReport::warm_started, ServiceStats::warm_starts), and an
+/// "asymmetric-colgen" churn variant's restricted master starts from the
+/// donor's columns and terminal basis instead of regrowing them oracle
+/// round by oracle round (ServiceStats::colgen_warm). Requests with
+/// SolveOptions::warm_start = false skip the lookup but still bank. Purely
+/// latency optimizations: the LP layer guarantees a warm-started solve
+/// produces the same payload as a cold one (lp/simplex.hpp,
+/// asymmetric_colgen.hpp), and any stale or incompatible hint falls back
+/// to a cold solve.
 ///
 /// Persistence. With ServiceOptions::snapshot_path set, the constructor
 /// restores the result caches from that file (a missing, truncated,
@@ -116,21 +116,16 @@ struct ServiceOptions {
   int threads_per_shard = 1;
   /// LRU byte budget per shard; 0 disables result caching.
   std::size_t cache_bytes_per_shard = std::size_t{8} << 20;
-  /// LRU entry budget of the per-shard basis cache (service/basis_cache.hpp):
-  /// optimal simplex bases banked by STRUCTURAL fingerprint (valuations
-  /// excluded) and replayed as warm-start hints for structurally identical
-  /// requests. 0 disables warm starting. Purely a speed knob: a warm-started
-  /// solve is payload-identical to the cold solve, so this never changes
-  /// results -- and bases are not persisted with the result-cache snapshot
-  /// (they start cold after a restore and refill from traffic).
+  /// LRU entry budget of the per-shard warm store (service/basis_cache.hpp):
+  /// optimal bases -- plus generated columns for "asymmetric-colgen" --
+  /// banked by STRUCTURAL fingerprint (valuations excluded) and replayed as
+  /// warm-start hints for structurally identical requests. One budget
+  /// bounds both kinds of entry; 0 disables warm starting. Purely a speed
+  /// knob: a warm-started solve is payload-identical to the cold solve, so
+  /// this never changes results -- and entries are not persisted with the
+  /// result-cache snapshot (they start cold after a restore and refill
+  /// from traffic).
   std::size_t basis_cache_entries_per_shard = 64;
-  /// LRU entry budget of the per-shard column-pool cache
-  /// (service/column_pool_cache.hpp): generated column pools of clean
-  /// "asymmetric-colgen" solves banked by STRUCTURAL fingerprint and
-  /// replayed to seed the restricted master of structurally identical
-  /// requests. 0 disables pool warm starting. The same contract as the
-  /// basis cache: a speed knob only, payload-invariant, never snapshotted.
-  std::size_t column_pool_entries_per_shard = 64;
   /// Solver selection policy; null installs DefaultSelectionPolicy.
   SelectionPolicyPtr policy = nullptr;
   /// Shard queue order (see the file comment); kFifo is the baseline.
@@ -182,12 +177,12 @@ struct ServiceStats {
   /// followers never run a solver, so they never count).
   std::uint64_t warm_starts = 0;
   /// Column-generation solver runs that seeded their restricted master
-  /// from a banked column pool (SolveReport::warm_started with
+  /// from banked columns (SolveReport::warm_started with
   /// oracle_rounds > 0; a subset of warm_starts' discipline, counted
   /// separately so pool reuse is observable next to basis reuse).
   std::uint64_t colgen_warm = 0;
   /// Cache entries restored from the snapshot at construction. Note the
-  /// snapshot carries result-cache entries only: basis caches always start
+  /// snapshot carries result-cache entries only: warm stores always start
   /// cold after a restore (warm_starts builds back up from traffic).
   std::uint64_t snapshot_restored = 0;
   std::size_t cache_entries = 0;
@@ -266,7 +261,8 @@ class AuctionService {
 
   /// Point-in-time telemetry export: the registry snapshot with the
   /// point-in-time cache gauges ("service.cache_entries"/"..._bytes",
-  /// "service.basis_entries", "service.pool_entries") refreshed first.
+  /// "service.basis_entries": warm-store entries of both kinds) refreshed
+  /// first.
   /// The payload of the kGetTelemetry wire frame.
   [[nodiscard]] obs::TelemetrySnapshot telemetry() const;
 
@@ -301,8 +297,9 @@ class AuctionService {
   obs::Counter& colgen_warm_;
   obs::Counter& snapshot_restored_;
   // Warm-hint observability beyond ServiceStats: how often the per-shard
-  // basis/column-pool caches actually served a hint, and how many solver
-  // chains ran at all.
+  // warm store served a hint (a basis-only entry counts as a basis hit, an
+  // entry with colgen columns as a pool hit), and how many solver chains
+  // ran at all.
   obs::Counter& basis_hits_;
   obs::Counter& pool_hits_;
   obs::Counter& solves_;

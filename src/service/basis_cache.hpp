@@ -1,44 +1,38 @@
 #pragma once
 /// \file basis_cache.hpp
-/// Per-shard LRU cache of optimal simplex bases, keyed by the STRUCTURAL
-/// fingerprint of an instance (support/fingerprint.hpp): graph, ordering,
-/// rho and dimensions -- valuations excluded. The auction LP's constraint
-/// matrix depends only on that structure; valuations enter the objective
-/// alone, so the optimal basis of one instance is a primal-feasible (often
-/// still optimal) starting basis for every value-perturbed variant. The
-/// AuctionService worker banks the exported basis of each clean explicit-path
-/// solve here and hands it back as a SolveOptions::warm_context hint on the
-/// next structurally identical request.
+/// The per-shard warm store: an LRU of WarmState entries
+/// (core/auction_lp.hpp) keyed by the STRUCTURAL fingerprint of an
+/// instance (support/fingerprint.hpp) -- valuations excluded. Values enter
+/// LPs (1)/(4) and the Section 2.2 demand-oracle master only through the
+/// objective, so one instance's optimal basis is a primal-feasible (often
+/// still optimal) start for every value-perturbed variant, and one colgen
+/// run's columns are a valid restricted master for each of them. The
+/// AuctionService worker banks each clean solve's warm state here (a basis
+/// for "lp-rounding", a basis plus columns for "asymmetric-colgen") and
+/// hands it back through SolveOptions::warm_context on the next
+/// structurally identical request. One entry budget bounds both kinds.
 ///
-/// The cache stores hints, not answers: a stale / mismatched / singular
-/// entry costs one failed install and a cold solve, never a wrong result
-/// (lp/simplex.hpp owns the fallback). That is why entries can be evicted
-/// or dropped freely -- and why bases are deliberately NOT part of the
-/// ResultCache snapshot: after restore_snapshot the basis caches start
-/// cold and simply refill (see service/result_cache.hpp).
+/// The store holds hints, not answers: a stale / mismatched / singular
+/// entry costs one failed install or filtered seeds and a cold solve, never
+/// a wrong result (lp/simplex.hpp owns the fallback, and the oracle loop
+/// re-proves optimality whatever seeded the master). That is why entries
+/// can be evicted or dropped freely -- and why they are deliberately NOT
+/// part of the ResultCache snapshot: after restore_snapshot the warm stores
+/// start cold and simply refill (see service/result_cache.hpp).
 ///
 /// Not thread-safe; the owning shard serializes access under its own lock.
 
 #include <cstddef>
-#include <cstdint>
 #include <list>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
-#include "lp/simplex.hpp"
+#include "core/auction_lp.hpp"
 
 namespace ssa::service {
 
-/// One banked basis plus the shape data the delta remaps need.
-struct BasisCacheEntry {
-  lp::BasisSnapshot basis;
-  std::uint32_t num_bidders = 0;
-  std::uint32_t num_channels = 0;
-  /// Structural column span per bidder of the donor solve (input of
-  /// remap_basis_for_added_bidder / remap_basis_for_removed_bidder).
-  std::vector<std::uint32_t> columns_per_bidder;
-};
+/// One banked warm state (basis, dimensions, colgen columns).
+using BasisCacheEntry = WarmState;
 
 /// Entry-count-bounded LRU map fingerprint-hex -> BasisCacheEntry.
 class BasisCache {

@@ -24,10 +24,10 @@
 /// tests/test_wire.cpp pins golden report bytes, so silent drift of either
 /// fails loudly).
 ///
-/// The snapshot carries RESULTS only. Warm-start bases (the per-shard
-/// BasisCache, service/basis_cache.hpp) are deliberately excluded: a basis
-/// is a runtime hint tied to this build's simplex internals, worthless if
-/// wrong and cheap to regenerate, so after a restore the basis caches
+/// The snapshot carries RESULTS only. Warm states (the per-shard warm
+/// store, service/basis_cache.hpp) are deliberately excluded: an entry is
+/// a runtime hint tied to this build's simplex internals, worthless if
+/// wrong and cheap to regenerate, so after a restore the warm stores
 /// start cold and the first solve of each structure re-banks one
 /// (tests/test_service.cpp pins that contract).
 

@@ -2,7 +2,7 @@
 // restricted-master/pricing-oracle LP agrees with the explicit LP and the
 // exact B&B reference on small instances, lifts the k <= 12 explicit
 // enumeration cap, admits weighted per-channel graphs, and its column-pool
-// warm start (WarmStartContext::pool_hint) is payload-invariant -- a warm
+// warm start (WarmStartContext::hint) is payload-invariant -- a warm
 // solve reports bitwise the same answer as the cold solve of the same
 // instance.
 
@@ -147,8 +147,8 @@ TEST(AsymmetricColgen, PoolWarmSolveIsPayloadIdenticalToCold) {
   const SolveReport donor_report =
       make_solver("asymmetric-colgen")->solve(donor, donor_options);
   ASSERT_TRUE(donor_report.error.empty()) << donor_report.error;
-  ASSERT_TRUE(bank.has_pool_export);
-  EXPECT_FALSE(bank.pool_exported.empty());
+  ASSERT_FALSE(bank.exported.empty());
+  EXPECT_FALSE(bank.exported.columns.empty());
 
   for (int i = 0; i < 8; ++i) {
     const AsymmetricInstance variant = rescale_bidder(
@@ -161,7 +161,7 @@ TEST(AsymmetricColgen, PoolWarmSolveIsPayloadIdenticalToCold) {
     EXPECT_FALSE(cold.warm_started);
 
     WarmStartContext warm_context;
-    warm_context.pool_hint = &bank.pool_exported;
+    warm_context.hint = &bank.exported;
     SolveOptions warm_options = options;
     warm_options.warm_context = &warm_context;
     const SolveReport warm =
@@ -172,7 +172,7 @@ TEST(AsymmetricColgen, PoolWarmSolveIsPayloadIdenticalToCold) {
 
     // warm_start = false pins a cold solve even with the hint present.
     WarmStartContext ignored;
-    ignored.pool_hint = &bank.pool_exported;
+    ignored.hint = &bank.exported;
     SolveOptions opted_out = options;
     opted_out.warm_start = false;
     opted_out.warm_context = &ignored;
@@ -191,12 +191,12 @@ TEST(AsymmetricColgen, IncompatiblePoolsAreIgnoredNotTrusted) {
   SolveOptions donor_options;
   donor_options.warm_context = &bank;
   (void)make_solver("asymmetric-colgen")->solve(donor, donor_options);
-  ASSERT_TRUE(bank.has_pool_export);
+  ASSERT_FALSE(bank.exported.empty());
 
   const AsymmetricInstance other = weighted_chain(9);  // different n
   const SolveReport cold = make_solver("asymmetric-colgen")->solve(other);
   WarmStartContext mismatched;
-  mismatched.pool_hint = &bank.pool_exported;
+  mismatched.hint = &bank.exported;
   SolveOptions options;
   options.warm_context = &mismatched;
   const SolveReport report =

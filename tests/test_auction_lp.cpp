@@ -134,46 +134,6 @@ void expect_identical_fraction(const FractionalSolution& warm,
   }
 }
 
-/// Positive-value bundles of bidder \p v: exactly the columns
-/// solve_auction_lp enumerates for it.
-std::uint32_t positive_bundles(const AuctionInstance& instance, std::size_t v) {
-  std::uint32_t count = 0;
-  for (Bundle t = 1; t < num_bundles(instance.num_channels()); ++t) {
-    if (instance.value(v, t) > 0.0) ++count;
-  }
-  return count;
-}
-
-/// True vertex removal (induced subgraph). Unlike
-/// AuctionInstance::without_bidder -- which zeroes the valuation but keeps
-/// the vertex, so the LP row count never changes -- the delta-remap helpers
-/// model an instance whose bidder set actually shrank or grew, with later
-/// vertices shifted down by one.
-AuctionInstance drop_bidder(const AuctionInstance& big, std::size_t removed) {
-  const std::size_t n = big.num_bidders();
-  ConflictGraph graph(n - 1);
-  const auto shifted = [&](std::size_t u) { return u < removed ? u : u - 1; };
-  for (std::size_t u = 0; u < n; ++u) {
-    if (u == removed) continue;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (v == removed || u == v) continue;
-      const double w = big.graph().weight(u, v);
-      if (w > 0.0) graph.set_weight(shifted(u), shifted(v), w);
-    }
-  }
-  Ordering order;
-  for (const int v : big.order()) {
-    if (static_cast<std::size_t>(v) == removed) continue;
-    order.push_back(static_cast<int>(shifted(static_cast<std::size_t>(v))));
-  }
-  std::vector<ValuationPtr> valuations;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (v != removed) valuations.push_back(big.valuations()[v]);
-  }
-  return AuctionInstance(std::move(graph), std::move(order),
-                         big.num_channels(), std::move(valuations), big.rho());
-}
-
 /// Support-preserving valuation churn: every positive bundle value is
 /// rescaled, zeros stay zero. solve_auction_lp only emits columns for
 /// positive-value bundles, so this keeps the LP's column structure (and
@@ -215,86 +175,6 @@ TEST(WarmStart, ValuePerturbationReusesBasisOnAuctionLp) {
     EXPECT_LE(rewarmed.pivots, cold.pivots) << "round " << round;
     expect_identical_fraction(rewarmed, cold);
   }
-}
-
-TEST(WarmStart, AddedBidderDeltaRemapMatchesColdSolve) {
-  // Delta re-solve, grow direction: the donor basis of A warm-starts
-  // A + one appended bidder after remap_basis_for_added_bidder.
-  const AuctionInstance big =
-      gen::make_disk_auction(15, 3, gen::ValuationMix::kMixed, 17);
-  const std::size_t n = big.num_bidders();
-  const AuctionInstance small = drop_bidder(big, n - 1);
-
-  LpWarmStart donor;
-  lp::BasisSnapshot small_basis;
-  std::vector<std::uint32_t> small_columns;
-  donor.exported = &small_basis;
-  donor.columns_per_bidder = &small_columns;
-  ASSERT_EQ(solve_auction_lp(small, {}, &donor).status,
-            lp::SolveStatus::kOptimal);
-  ASSERT_EQ(small_columns.size(), small.num_bidders());
-
-  const lp::BasisSnapshot hint = remap_basis_for_added_bidder(
-      small_basis, small.num_bidders(), big.num_channels(), small_columns,
-      positive_bundles(big, n - 1));
-
-  const FractionalSolution cold = solve_auction_lp(big);
-  LpWarmStart warm;
-  warm.hint = &hint;
-  const FractionalSolution rewarmed = solve_auction_lp(big, {}, &warm);
-  EXPECT_TRUE(warm.warm_started);
-  expect_identical_fraction(rewarmed, cold);
-}
-
-TEST(WarmStart, RemovedBidderDeltaRemapMatchesColdSolve) {
-  // Delta re-solve, shrink direction, removing a middle bidder so the
-  // index shifts are exercised.
-  const AuctionInstance big =
-      gen::make_disk_auction(15, 3, gen::ValuationMix::kMixed, 23);
-  const std::size_t removed = big.num_bidders() / 2;
-
-  LpWarmStart donor;
-  lp::BasisSnapshot big_basis;
-  std::vector<std::uint32_t> big_columns;
-  donor.exported = &big_basis;
-  donor.columns_per_bidder = &big_columns;
-  ASSERT_EQ(solve_auction_lp(big, {}, &donor).status,
-            lp::SolveStatus::kOptimal);
-
-  const AuctionInstance small = drop_bidder(big, removed);
-  const lp::BasisSnapshot hint = remap_basis_for_removed_bidder(
-      big_basis, big.num_bidders(), big.num_channels(),
-      static_cast<int>(removed), big_columns);
-
-  const FractionalSolution cold = solve_auction_lp(small);
-  LpWarmStart warm;
-  warm.hint = &hint;
-  const FractionalSolution rewarmed = solve_auction_lp(small, {}, &warm);
-  // The orphan-filling remap may collide on a slack and fall back cold;
-  // either way the payload must be identical to the cold solve.
-  expect_identical_fraction(rewarmed, cold);
-}
-
-TEST(WarmStart, RemapRejectsDimensionMismatch) {
-  const AuctionInstance instance =
-      gen::make_disk_auction(10, 2, gen::ValuationMix::kMixed, 5);
-  LpWarmStart donor;
-  lp::BasisSnapshot basis;
-  std::vector<std::uint32_t> columns;
-  donor.exported = &basis;
-  donor.columns_per_bidder = &columns;
-  ASSERT_EQ(solve_auction_lp(instance, {}, &donor).status,
-            lp::SolveStatus::kOptimal);
-  std::vector<std::uint32_t> wrong = columns;
-  wrong.pop_back();
-  EXPECT_THROW((void)remap_basis_for_added_bidder(
-                   basis, instance.num_bidders(), instance.num_channels(),
-                   wrong, 3),
-               std::invalid_argument);
-  EXPECT_THROW((void)remap_basis_for_removed_bidder(
-                   basis, instance.num_bidders(), instance.num_channels(), 0,
-                   wrong),
-               std::invalid_argument);
 }
 
 TEST(AuctionLp, ConvexityRowsRespected) {

@@ -139,7 +139,7 @@ TEST(StructuralFingerprint, SupportChangesTheKey) {
 }
 
 TEST(StructuralFingerprint, AsymmetricSupportPatternIsCovered) {
-  // The column-pool key (service/column_pool_cache.hpp): rescaling
+  // The warm-store key (service/basis_cache.hpp): rescaling
   // positive bundle values of an asymmetric instance keeps the
   // restricted-master constraint matrix, so the structural fingerprint
   // must not move -- while zeroing a bundle (a support change) removes a

@@ -16,11 +16,12 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "gen/scenario.hpp"
 #include "service/basis_cache.hpp"
-#include "service/column_pool_cache.hpp"
 #include "service/service.hpp"
 #include "wire/codec.hpp"
 
@@ -130,6 +131,12 @@ TEST(AuctionService, ChurnStreamWarmStartsAfterTheFirstSolve) {
   EXPECT_EQ(warm_service.stats().warm_starts,
             static_cast<std::uint64_t>(kVariants - 1));
   EXPECT_EQ(control_service.stats().warm_starts, 0u);
+  // The counters perfbench's auction-stream check reads: every variant
+  // after the first was served a basis-only entry, none a column pool.
+  const obs::TelemetrySnapshot telemetry = warm_service.telemetry();
+  EXPECT_EQ(telemetry.counter_or("service.basis_hits"),
+            static_cast<std::uint64_t>(kVariants - 1));
+  EXPECT_EQ(telemetry.counter_or("service.pool_hits"), 0u);
 }
 
 TEST(AuctionService, BasesStartColdAfterSnapshotRestore) {
@@ -208,37 +215,6 @@ TEST(BasisCache, ZeroCapacityDisables) {
   EXPECT_EQ(cache.entries(), 0u);
 }
 
-TEST(ColumnPoolCache, LruEvictionRecencyAndReplace) {
-  service::ColumnPoolCache cache(2);
-  const auto pool = [](std::uint32_t n) {
-    AsymmetricColumnPool p;
-    p.num_bidders = n;
-    p.columns.emplace_back(0u, Bundle{1});
-    return p;
-  };
-  cache.insert("a", pool(1));
-  cache.insert("b", pool(2));
-  ASSERT_NE(cache.lookup("a"), nullptr);  // refreshes a's recency
-  cache.insert("c", pool(3));             // evicts b, the LRU entry
-  EXPECT_EQ(cache.lookup("b"), nullptr);
-  ASSERT_NE(cache.lookup("a"), nullptr);
-  EXPECT_EQ(cache.lookup("a")->num_bidders, 1u);
-  ASSERT_NE(cache.lookup("c"), nullptr);
-  EXPECT_EQ(cache.entries(), 2u);
-
-  cache.insert("c", pool(4));  // same key: replace in place, no eviction
-  EXPECT_EQ(cache.entries(), 2u);
-  EXPECT_EQ(cache.lookup("c")->num_bidders, 4u);
-  EXPECT_NE(cache.lookup("a"), nullptr);
-}
-
-TEST(ColumnPoolCache, ZeroCapacityDisables) {
-  service::ColumnPoolCache cache(0);
-  cache.insert("a", AsymmetricColumnPool{});
-  EXPECT_EQ(cache.lookup("a"), nullptr);
-  EXPECT_EQ(cache.entries(), 0u);
-}
-
 /// Support-preserving churn on the asymmetric family: rescale one
 /// bidder's positive bundle values (zeros stay zero) so the structural
 /// fingerprint -- the column-pool key -- is unchanged while the full
@@ -264,7 +240,7 @@ TEST(AuctionService, AsymmetricChurnStreamWarmStartsTheColumnPool) {
   // payloads -- pool reuse is a latency lever, never a result change.
   AuctionService warm_service(single_shard());
   ServiceOptions control_config = single_shard();
-  control_config.column_pool_entries_per_shard = 0;
+  control_config.basis_cache_entries_per_shard = 0;
   AuctionService control_service(control_config);
 
   const AsymmetricInstance base = weighted_asymmetric(12);
@@ -294,6 +270,12 @@ TEST(AuctionService, AsymmetricChurnStreamWarmStartsTheColumnPool) {
   EXPECT_EQ(warm_service.stats().colgen_warm,
             static_cast<std::uint64_t>(kVariants - 1));
   EXPECT_EQ(control_service.stats().colgen_warm, 0u);
+  // The mirror of the symmetric stream: every variant after the first was
+  // served an entry with columns, so each hit counts as a pool hit.
+  const obs::TelemetrySnapshot telemetry = warm_service.telemetry();
+  EXPECT_EQ(telemetry.counter_or("service.basis_hits"), 0u);
+  EXPECT_EQ(telemetry.counter_or("service.pool_hits"),
+            static_cast<std::uint64_t>(kVariants - 1));
 }
 
 TEST(AuctionService, ColumnPoolsStartColdAfterSnapshotRestore) {
@@ -338,6 +320,151 @@ TEST(AuctionService, ColumnPoolsStartColdAfterSnapshotRestore) {
     EXPECT_EQ(restarted.stats().colgen_warm, 1u);
   }  // the destructor's shutdown rewrites the snapshot; remove it last
   std::remove(path.c_str());
+}
+
+TEST(AuctionService, OneWarmStoreBoundCoversBothKinds) {
+  // lp-rounding and asymmetric-colgen churn variants interleaved through
+  // one single-shard service: a basis-only entry and an entry with columns
+  // share one LRU bound. At 2 both structures stay banked and every
+  // variant after the first of its kind warm-starts; at 1 each insert
+  // evicts the other kind, so nothing ever warm-starts. Payloads equal a
+  // store-less control's either way.
+  const AuctionInstance symmetric =
+      gen::make_disk_auction(14, 2, gen::ValuationMix::kMixed, 811);
+  const AsymmetricInstance asymmetric = weighted_asymmetric(10);
+  SolveOptions options;
+  options.seed = 11;
+  options.pipeline.rounding_repetitions = 8;
+
+  constexpr int kVariants = 12;
+  for (const std::size_t bound : {std::size_t{2}, std::size_t{1}}) {
+    ServiceOptions config = single_shard();
+    config.basis_cache_entries_per_shard = bound;
+    AuctionService warm_service(config);
+    ServiceOptions control_config = single_shard();
+    control_config.basis_cache_entries_per_shard = 0;
+    AuctionService control_service(control_config);
+    for (int i = 0; i < kVariants; ++i) {
+      const double factor = 1.0 + 0.03 * static_cast<double>(i + 1);
+      const std::size_t v = static_cast<std::size_t>(i) % 10;
+      const AuctionInstance churned = rescale_bidder(symmetric, v, factor);
+      const AsymmetricInstance asym_churned =
+          rescale_asym_bidder(asymmetric, v, factor);
+      const std::pair<AnyInstance, std::string> requests[] = {
+          {churned, "lp-rounding"}, {asym_churned, "asymmetric-colgen"}};
+      for (const auto& [instance, solver] : requests) {
+        const SolveReport warm =
+            warm_service.get(warm_service.submit(instance, solver, options));
+        const SolveReport cold = control_service.get(
+            control_service.submit(instance, solver, options));
+        ASSERT_TRUE(warm.error.empty()) << warm.error;
+        EXPECT_EQ(warm.warm_started, bound == 2 && i > 0)
+            << solver << " variant " << i << " bound " << bound;
+        EXPECT_TRUE(wire::reports_payload_equal(warm, cold))
+            << solver << " variant " << i << " bound " << bound;
+      }
+    }
+    const std::uint64_t hits = bound == 2 ? kVariants - 1 : 0;
+    const obs::TelemetrySnapshot telemetry = warm_service.telemetry();
+    EXPECT_EQ(telemetry.counter_or("service.basis_hits"), hits);
+    EXPECT_EQ(telemetry.counter_or("service.pool_hits"), hits);
+    EXPECT_EQ(telemetry.gauge_or("service.basis_entries"),
+              static_cast<std::int64_t>(bound));
+  }
+}
+
+TEST(AuctionService, RacingWorkersOnOneShardKeepWarmPayloads) {
+  // Four workers on one shard race on the warm store: 32 symmetric and 32
+  // asymmetric churn variants are all submitted before the first get, so
+  // lookups, copy-outs and re-banks of the same two keys interleave (under
+  // ThreadSanitizer this is the warm path's data-race probe). Every report
+  // must still equal a store-less control's payload.
+  ServiceOptions racing = single_shard();
+  racing.threads_per_shard = 4;
+  AuctionService warm_service(racing);
+  ServiceOptions control_config = single_shard();
+  control_config.basis_cache_entries_per_shard = 0;
+  AuctionService control_service(control_config);
+
+  const AuctionInstance symmetric =
+      gen::make_disk_auction(14, 2, gen::ValuationMix::kMixed, 812);
+  const AsymmetricInstance asymmetric = weighted_asymmetric(10);
+  SolveOptions options;
+  options.seed = 5;
+  options.pipeline.rounding_repetitions = 8;
+
+  constexpr int kVariants = 32;
+  std::vector<RequestId> warm_ids;
+  std::vector<RequestId> cold_ids;
+  for (int i = 0; i < kVariants; ++i) {
+    const double factor = 1.0 + 0.03 * static_cast<double>(i + 1);
+    const std::size_t v = static_cast<std::size_t>(i) % 10;
+    const AuctionInstance churned = rescale_bidder(symmetric, v, factor);
+    const AsymmetricInstance asym_churned =
+        rescale_asym_bidder(asymmetric, v, factor);
+    warm_ids.push_back(warm_service.submit(churned, "lp-rounding", options));
+    warm_ids.push_back(
+        warm_service.submit(asym_churned, "asymmetric-colgen", options));
+    cold_ids.push_back(control_service.submit(churned, "lp-rounding", options));
+    cold_ids.push_back(
+        control_service.submit(asym_churned, "asymmetric-colgen", options));
+  }
+  for (std::size_t r = 0; r < warm_ids.size(); ++r) {
+    const SolveReport warm = warm_service.get(warm_ids[r]);
+    const SolveReport cold = control_service.get(cold_ids[r]);
+    ASSERT_TRUE(warm.error.empty()) << warm.error;
+    EXPECT_TRUE(wire::reports_payload_equal(warm, cold)) << "request " << r;
+  }
+  // A worker banks before it dequeues its next request, so once the first
+  // four solves are done the rest of the stream can be served warm.
+  EXPECT_GT(warm_service.stats().warm_starts, 0u);
+  EXPECT_GT(warm_service.stats().colgen_warm, 0u);
+}
+
+TEST(AuctionService, OptedOutRequestsSkipTheWarmStoreButStillBank) {
+  // warm_start = false asks for a cold solve, so the worker must not look
+  // the structure up (a hit it then ignores would be booked as a stale
+  // hint), yet it still banks the run's export. Result caching is off so
+  // one variant can be solved twice.
+  ServiceOptions config = single_shard();
+  config.cache_bytes_per_shard = 0;
+  AuctionService service(config);
+  SolveOptions warm_options;
+  warm_options.seed = 4;
+  warm_options.pipeline.rounding_repetitions = 8;
+  SolveOptions cold_options = warm_options;
+  cold_options.warm_start = false;
+
+  const AuctionInstance symmetric =
+      gen::make_disk_auction(14, 2, gen::ValuationMix::kMixed, 813);
+  const AsymmetricInstance asymmetric = weighted_asymmetric(10);
+  const AuctionInstance sym_first = rescale_bidder(symmetric, 0, 1.1);
+  const AuctionInstance sym_second = rescale_bidder(symmetric, 1, 1.2);
+  const AsymmetricInstance asym_first = rescale_asym_bidder(asymmetric, 0, 1.1);
+  const AsymmetricInstance asym_second =
+      rescale_asym_bidder(asymmetric, 1, 1.2);
+  const std::tuple<AnyInstance, AnyInstance, std::string> streams[] = {
+      {sym_first, sym_second, "lp-rounding"},
+      {asym_first, asym_second, "asymmetric-colgen"}};
+  for (const auto& [first, second, solver] : streams) {
+    // An opted-out solve banks: the next warm request finds its entry.
+    EXPECT_FALSE(
+        service.get(service.submit(first, solver, cold_options)).warm_started);
+    const SolveReport warm =
+        service.get(service.submit(second, solver, warm_options));
+    ASSERT_TRUE(warm.error.empty()) << warm.error;
+    EXPECT_TRUE(warm.warm_started) << solver;
+
+    const SolveReport opted_out =
+        service.get(service.submit(second, solver, cold_options));
+    EXPECT_FALSE(opted_out.cache_hit);
+    EXPECT_FALSE(opted_out.warm_started) << solver;
+    EXPECT_TRUE(wire::reports_payload_equal(opted_out, warm)) << solver;
+  }
+  // Only the warm request of each stream was served a hit.
+  const obs::TelemetrySnapshot telemetry = service.telemetry();
+  EXPECT_EQ(telemetry.counter_or("service.basis_hits"), 1u);
+  EXPECT_EQ(telemetry.counter_or("service.pool_hits"), 1u);
 }
 
 TEST(AuctionService, CacheHitEquivalence) {
