@@ -227,8 +227,6 @@ void record_telemetry(const std::string& phase,
              snapshot.counter_or("scheduler.rejected"))},
         {"door_submits", static_cast<double>(
              snapshot.counter_or("door.submits"))},
-        {"door_route_cache_hits", static_cast<double>(
-             snapshot.counter_or("door.route_cache_hits"))},
         {"spans", static_cast<double>(snapshot.spans.size())}}});
 }
 

@@ -2,9 +2,12 @@
 // machine. The program spawns TWO real backend processes (fork + exec of
 // its own binary in --backend mode, each running an AuctionService behind
 // a wire-protocol ServiceServer on an ephemeral loopback port), starts a
-// FrontDoor that splits the fingerprint keyspace across them, and drives
-// a mixed request stream through a TcpClient -- the same AuctionClient
-// code the in-process service_demo uses with a LocalClient.
+// FrontDoor that routes each submit by a hash of its payload bytes (equal
+// submits meet one backend; the door decodes no instance), and drives a
+// mixed request stream through a TcpClient -- the same AuctionClient code
+// the in-process service_demo uses with a LocalClient. The door sends the
+// frames it forwards in one write per backend per event-loop turn; the
+// backends answer gets on their loop threads.
 //
 // The demo doubles as a smoke test of the location-transparency contract:
 // every report that crossed process boundaries must be payload-bitwise

@@ -27,7 +27,8 @@ namespace detail {
 /// EventConnection handle. Posts append under the mutex; the eventfd is
 /// written only when the queue was empty, so a burst of posts (the
 /// pipelined client's completion storm) costs one wake syscall, and the
-/// frames it carried flush as one batched write per connection.
+/// frames it carried flush as one batched write per connection. Posts
+/// from the loop thread never wake: it applies the queue before sleeping.
 struct LoopCore {
   struct Command {
     std::uint64_t connection = 0;
@@ -38,6 +39,7 @@ struct LoopCore {
   std::vector<Command> commands;
   bool stopped = false;       ///< loop exited: posts become no-ops
   bool stop_posted = false;   ///< stop() asked the loop to exit
+  std::thread::id loop_thread;
   int wake_fd = -1;
 
   ~LoopCore() {
@@ -52,7 +54,7 @@ struct LoopCore {
     {
       const std::lock_guard<std::mutex> lock(mutex);
       if (stopped) return;
-      wake = commands.empty();
+      wake = commands.empty() && std::this_thread::get_id() != loop_thread;
       commands.push_back(Command{connection, std::move(frame)});
     }
     if (wake) notify();
@@ -359,6 +361,10 @@ struct EventLoop::Impl {
   }
 
   void run() {
+    {
+      const std::lock_guard<std::mutex> lock(core->mutex);
+      core->loop_thread = std::this_thread::get_id();
+    }
     epoll_event events[64];
     for (;;) {
       const int n = ::epoll_wait(epoll_fd, events, 64, -1);
@@ -393,6 +399,7 @@ struct EventLoop::Impl {
           destroy(tag);
         }
       }
+      if (options.after_turn) options.after_turn();
       apply_commands();
       flush_all();
       if (stop_requested) break;

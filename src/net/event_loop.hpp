@@ -17,7 +17,12 @@
 ///  - responses are queued on the connection's outbox and flushed by the
 ///    loop. Frames queued while the loop is busy elsewhere coalesce into
 ///    one write() (small-frame batching -- the pipelined client's chatty
-///    submit/get pairs ride the same syscall).
+///    submit/get pairs ride the same syscall). A send from the loop
+///    thread itself (a handler answering inline) needs no wake-up: the
+///    loop applies it before it sleeps;
+///  - EventLoopOptions::after_turn runs on the loop thread once per turn,
+///    after that turn's handlers -- the FrontDoor sends each backend's
+///    batch of forwarded frames there.
 ///
 /// Backpressure: a connection whose outbox exceeds
 /// EventLoopOptions::outbox_pause_bytes stops being READ until the peer
@@ -84,6 +89,9 @@ struct EventLoopOptions {
   /// Protocol key used in loop-generated kError messages
   /// ("service-server", "front-door").
   std::string error_key = "event-loop";
+  /// Called on the loop thread at the end of every turn, after the turn's
+  /// handlers and before its queued responses are written. Empty = none.
+  std::function<void()> after_turn;
 };
 
 /// One listener + one epoll loop thread serving every connection.

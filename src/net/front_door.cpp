@@ -1,5 +1,6 @@
 #include "net/front_door.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -24,14 +25,6 @@ namespace {
 
 using wire::ErrorKind;
 using wire::MessageType;
-
-/// Routing decisions memoized by the fingerprint of the raw submit
-/// payload bytes: repeats of an identical submit (the cache-warm steady
-/// state) skip the instance decode entirely. Equal payloads always map to
-/// one backend, so the consistent-split contract holds; distinct payloads
-/// of one instance (different options) still meet the same backend
-/// through the full decode + instance-fingerprint path.
-constexpr std::size_t kRouteCacheEntries = std::size_t{1} << 16;
 
 std::string error_frame(std::uint64_t request_id, ErrorKind kind,
                         const std::string& message) {
@@ -93,6 +86,7 @@ struct FrontDoor::Impl {
     }
     EventLoopOptions loop_options;
     loop_options.error_key = "front-door";
+    loop_options.after_turn = [this] { flush_forwards(); };
     loop.emplace(TcpListener::bind_loopback(options.port),
                  [this](const EventConnectionPtr& connection,
                         wire::Frame frame) {
@@ -132,10 +126,12 @@ struct FrontDoor::Impl {
            ") failed: " + what;
   }
 
-  /// Continuation-style forward: sends (type, payload) to backend
-  /// \p index over its multiplexed channel and invokes \p callback with
-  /// the response -- or with a door-keyed failure message. The callback
-  /// runs on the channel's reader thread (or inline on connect failure).
+  /// Continuation-style forward: queues (type, payload) on backend
+  /// \p index's multiplexed channel and invokes \p callback with the
+  /// response -- or with a door-keyed failure message. Loop thread only:
+  /// the frame leaves with the rest of this turn's batch for that backend
+  /// (flush_forwards). The callback runs on the channel's reader thread
+  /// (or inline on connect failure, on the loop thread).
   /// \p context is stamped into the forwarded frame's v6 envelope: for
   /// submits it carries {trace, door span}, which is what makes backend
   /// spans children of the door span.
@@ -161,7 +157,18 @@ struct FrontDoor::Impl {
                   callback(std::move(response), std::string());
                 }
               },
-              context);
+              context, MuxConnection::Flush::kLater);
+    if (std::find(unflushed.begin(), unflushed.end(), mux) ==
+        unflushed.end()) {
+      unflushed.push_back(std::move(mux));
+    }
+  }
+
+  /// End of a loop turn: one write per backend that got frames this turn,
+  /// in the order the handlers queued them.
+  void flush_forwards() {
+    for (const std::shared_ptr<MuxConnection>& mux : unflushed) mux->flush();
+    unflushed.clear();
   }
 
   void handle_submit(const EventConnectionPtr& connection,
@@ -178,41 +185,18 @@ struct FrontDoor::Impl {
     }
     const std::uint64_t door_span_id = obs::next_span_id();
     const double span_start = obs::unix_now_seconds();
-    // Route by instance fingerprint (key.hi mod backend count -- the same
-    // consistent-split discipline the service shards use), memoized by
-    // payload bytes so the warm path never re-decodes the instance.
+    // Route by the hash of the payload bytes (hi mod backend count): the
+    // door never decodes the instance. Equal submits meet one backend, so
+    // repeats keep their cache hits and coalescing.
     FingerprintHasher payload_hasher;
     payload_hasher.mix(std::string_view(frame.payload));
-    const Fingerprint payload_key = payload_hasher.digest();
-    std::optional<std::size_t> backend;
-    {
-      const std::lock_guard<std::mutex> lock(mutex);
-      const auto it = route_cache.find(payload_key);
-      if (it != route_cache.end()) backend = it->second;
-    }
-    if (backend) route_cache_hits.add();
-    if (!backend) {
-      // Decode only to fingerprint: the forwarded bytes are the ORIGINAL
-      // payload, so the backend decodes exactly what the client encoded.
-      const std::optional<wire::SubmitRequest> request =
-          wire::decode_submit(frame.payload);
-      if (!request) {
-        connection->send(error_frame(frame.request_id,
-                                     ErrorKind::kInvalidArgument,
-                                     "front-door: malformed submit payload"));
-        return;
-      }
-      const Fingerprint key = fingerprint(request->instance.view());
-      backend = static_cast<std::size_t>(
-          key.hi % static_cast<std::uint64_t>(channels.size()));
-      const std::lock_guard<std::mutex> lock(mutex);
-      if (route_cache.size() >= kRouteCacheEntries) route_cache.clear();
-      route_cache.emplace(payload_key, *backend);
-    }
+    const auto backend = static_cast<std::size_t>(
+        payload_hasher.digest().hi %
+        static_cast<std::uint64_t>(channels.size()));
     const std::uint64_t client_id = frame.request_id;
     forward(
-        *backend, MessageType::kSubmit, frame.payload,
-        [this, connection, client_id, chosen = *backend, inbound,
+        backend, MessageType::kSubmit, frame.payload,
+        [this, connection, client_id, chosen = backend, inbound,
          door_span_id, span_start](
             std::optional<wire::Frame> response, const std::string& error) {
           registry.spans().record(obs::SpanRecord{
@@ -520,7 +504,6 @@ struct FrontDoor::Impl {
   obs::Registry registry;
   obs::Counter& submits = registry.counter("door.submits");
   obs::Counter& gets = registry.counter("door.gets");
-  obs::Counter& route_cache_hits = registry.counter("door.route_cache_hits");
   obs::Counter& stats_requests = registry.counter("door.stats_requests");
   obs::Counter& telemetry_requests =
       registry.counter("door.telemetry_requests");
@@ -531,7 +514,10 @@ struct FrontDoor::Impl {
   bool stopping = false;
   std::unordered_map<std::uint64_t, Route> routes;
   std::uint64_t next_id = 1;
-  std::unordered_map<Fingerprint, std::size_t> route_cache;
+
+  /// Channels that got frames during the current loop turn (loop thread
+  /// only); flush_forwards sends and clears them.
+  std::vector<std::shared_ptr<MuxConnection>> unflushed;
 
   /// Last member: quiesced before the rest dies.
   std::optional<EventLoop> loop;

@@ -6,6 +6,13 @@
 
 namespace ssa::net {
 
+namespace {
+
+/// The connection whose reader thread is the calling thread, if any.
+thread_local const MuxConnection* dispatching = nullptr;
+
+}  // namespace
+
 MuxConnection::MuxConnection(const std::string& host, std::uint16_t port)
     : connection_(TcpConnection::connect(host, port)) {
   reader_ = std::thread([this] { reader_loop(); });
@@ -34,6 +41,7 @@ void MuxConnection::poison(const std::string& reason) {
     }
     recorded = poison_reason_;  // first reason wins for everyone
     victims.swap(pending_);
+    outbox_.clear();
   }
   // Unblocks the reader thread (recv observes EOF) without releasing the
   // descriptor under it.
@@ -44,23 +52,22 @@ void MuxConnection::poison(const std::string& reason) {
 }
 
 void MuxConnection::call(wire::MessageType type, std::string_view payload,
-                         Callback callback, obs::SpanContext context) {
+                         Callback callback, obs::SpanContext context,
+                         Flush flush_when) {
   std::uint64_t id = 0;
+  std::string reason;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (!poisoned_) {
+    if (poisoned_) {
+      reason = poison_reason_;
+    } else {
       // Parked BEFORE the send: the response may race back before
-      // send_frame even returns on this thread.
+      // the flush even returns on this thread.
       id = next_id_++;
       pending_.emplace(id, std::move(callback));
     }
   }
   if (id == 0) {
-    std::string reason;
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      reason = poison_reason_;
-    }
     callback(std::nullopt, reason);
     return;
   }
@@ -69,7 +76,7 @@ void MuxConnection::call(wire::MessageType type, std::string_view payload,
   try {
     frame = wire::encode_frame(type, id, payload, context);
   } catch (const std::exception& e) {
-    // Oversized payload: nothing hit the wire, so the STREAM is fine --
+    // Oversized payload: nothing was queued, so the STREAM is fine --
     // fail only this call, not the connection.
     Callback parked;
     {
@@ -83,12 +90,43 @@ void MuxConnection::call(wire::MessageType type, std::string_view payload,
     return;
   }
 
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    // A poison since the park already failed this call.
+    if (poisoned_) return;
+    if (outbox_.empty()) {
+      outbox_ = std::move(frame);
+    } else {
+      outbox_ += frame;
+    }
+  }
+  // A callback's call on the reader thread leaves with the reader's next
+  // flush, once every frame already received has been dispatched.
+  if (flush_when == Flush::kNow && dispatching != this) flush();
+}
+
+void MuxConnection::flush() {
+  {
+    // Nothing queued: do not wait for the send lock. The reader thread
+    // must not block behind a writer the peer may be throttling until
+    // the reader drains the peer's replies.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (outbox_.empty()) return;
+  }
+  std::string bytes;
   try {
+    // Taking the outbox under the send lock keeps batches in queue order
+    // when several threads flush.
     const std::lock_guard<std::mutex> send_lock(send_mutex_);
-    connection_.send_frame(frame);
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      bytes.swap(outbox_);
+    }
+    if (bytes.empty()) return;
+    connection_.send_frame(bytes);
   } catch (const std::exception& e) {
     // A partial frame may be on the wire: the stream is unusable. poison
-    // fails every pending call including this one.
+    // fails every pending call, this batch's included.
     poison(std::string("mux: ") + e.what());
   }
 }
@@ -112,9 +150,12 @@ wire::Frame MuxConnection::call_sync(wire::MessageType type,
 }
 
 void MuxConnection::reader_loop() {
+  dispatching = this;
   std::string reason = "mux: server closed the connection";
   try {
     for (;;) {
+      // About to wait for the server: first send what callbacks queued.
+      if (!connection_.frame_buffered()) flush();
       std::optional<std::string> body = connection_.recv_frame();
       if (!body) break;  // EOF (server gone, or close() unblocked us)
       std::optional<wire::Frame> frame = wire::decode_frame_body(*body);

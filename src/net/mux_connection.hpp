@@ -13,6 +13,18 @@
 /// per backend (its continuation-style forwarding rides the callback
 /// form, so a blocking backend get parks a map entry, never a thread).
 ///
+/// Sending: call() appends the encoded frame to the connection's outbox,
+/// and flush() sends everything queued there in one write, in call order.
+/// A call with Flush::kNow (the default, and what TcpClient uses) flushes
+/// before it returns; the FrontDoor queues with Flush::kLater during one
+/// event-loop turn and flushes each backend's outbox once at the end of
+/// the turn, so a turn that forwards many frames costs one send() per
+/// backend. The reader thread receives with TcpConnection::recv_frame,
+/// which reads in bulk, and its own turn works the same way: a call made
+/// from a callback (a get chained to its submit's ack, say) is queued,
+/// and the reader flushes once it has dispatched every frame it already
+/// received, just before it waits for more.
+///
 /// Failure model: any transport error, EOF, undecodable response, or a
 /// response id that matches no pending call (which covers duplicated
 /// ids -- the first response consumed the entry) POISONS the connection:
@@ -58,14 +70,27 @@ class MuxConnection {
   MuxConnection(const MuxConnection&) = delete;
   MuxConnection& operator=(const MuxConnection&) = delete;
 
+  /// When call() hands its frame to the socket.
+  enum class Flush {
+    kNow,    ///< before call() returns, with everything queued before it
+             ///< (from a callback: when the reader's turn ends)
+    kLater,  ///< at the next flush() (or the next kNow call)
+  };
+
   /// Starts one call: assigns the next request id, parks \p callback in
-  /// the pending map, sends the frame. The callback is invoked exactly
-  /// once -- with the response, or with the poison reason (possibly
-  /// inline, when the connection is already poisoned or the send fails).
+  /// the pending map, appends the frame to the outbox and, for
+  /// Flush::kNow, sends the outbox. The callback is invoked exactly once
+  /// -- with the response, or with the poison reason (possibly inline,
+  /// when the connection is already poisoned or the send fails).
   /// \p context is the span context stamped into the v6 envelope
   /// ({0, 0} = untraced; purely observability, see wire/protocol.hpp).
   void call(wire::MessageType type, std::string_view payload,
-            Callback callback, obs::SpanContext context = {});
+            Callback callback, obs::SpanContext context = {},
+            Flush flush = Flush::kNow);
+
+  /// Sends every queued frame in one write. A failed send poisons the
+  /// connection (failing every parked call, this batch's included).
+  void flush();
 
   /// Blocking convenience over call(): waits for this call's own
   /// response (other calls proceed concurrently) and returns the frame.
@@ -91,13 +116,14 @@ class MuxConnection {
 
   TcpConnection connection_;
 
-  mutable std::mutex mutex_;  ///< pending map + id counter + poison state
+  mutable std::mutex mutex_;  ///< pending map, id counter, outbox, poison
   std::unordered_map<std::uint64_t, Callback> pending_;
   std::uint64_t next_id_ = 1;
+  std::string outbox_;  ///< encoded frames not yet handed to the socket
   bool poisoned_ = false;
   std::string poison_reason_;
 
-  std::mutex send_mutex_;  ///< serializes whole-frame writes
+  std::mutex send_mutex_;  ///< one flush at a time, so batches stay in order
 
   std::thread reader_;  ///< last: joined before the members above die
 };

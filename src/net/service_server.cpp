@@ -31,8 +31,9 @@ std::string error_frame(std::uint64_t request_id, ErrorKind kind,
 /// must never block, and submit decoding (instance reconstruction) is the
 /// expensive step of the backend path -- pumping it here keeps the loop
 /// at wire speed and lets one connection's pipelined submits decode in
-/// parallel. Frames may complete out of order across workers; responses
-/// correlate by wire request id, which is the whole point of v3.
+/// parallel. Gets never come here (handle_frame answers them). Frames may
+/// complete out of order across workers; responses correlate by wire
+/// request id, which is the whole point of v3.
 struct ServiceServer::Pump {
   struct Job {
     EventConnectionPtr connection;
@@ -132,7 +133,13 @@ void ServiceServer::stop() {
 
 void ServiceServer::handle_frame(const EventConnectionPtr& connection,
                                  wire::Frame frame) {
-  // Loop thread: hand off immediately.
+  // Loop thread. A get is a claim plus a report encode, or a parked
+  // watcher: it never blocks, so it is answered right here. Everything
+  // else goes to the pump.
+  if (frame.type == MessageType::kGet) {
+    process_get(connection, frame);
+    return;
+  }
   pump_->post(Pump::Job{connection, std::move(frame)});
 }
 
@@ -209,9 +216,6 @@ void ServiceServer::process(const EventConnectionPtr& connection,
   switch (frame.type) {
     case MessageType::kSubmit:
       process_submit(connection, frame);
-      break;
-    case MessageType::kGet:
-      process_get(connection, frame);
       break;
     case MessageType::kStats: {
       wire::Writer writer;

@@ -3,12 +3,14 @@
 /// One AuctionService behind a wire-protocol listener: the backend process
 /// of the cross-process serving topology. A ServiceServer binds a loopback
 /// port and serves every connection from one epoll event loop
-/// (net/event_loop.hpp); decoded frames are handed to a small request pump
-/// (worker threads) so the loop thread stays pure I/O, and BLOCKING get
-/// frames park a completion watcher on the service
-/// (AuctionService::watch) instead of a thread -- a connection may have
-/// any number of submits and gets in flight, answered out of order by
-/// wire request id.
+/// (net/event_loop.hpp). Gets are answered on the loop thread: a
+/// non-blocking get is a claim plus a report encode, and a BLOCKING get
+/// parks a completion watcher on the service (AuctionService::watch)
+/// instead of a thread, fired inline when the request already completed.
+/// Submits, stats, telemetry and shutdown frames go to a small request
+/// pump (worker threads), because decoding a submit's instance is the
+/// expensive step. A connection may have any number of submits and gets
+/// in flight, answered out of order by wire request id.
 ///
 /// Error passthrough: solver/domain failures stay INSIDE SolveReport::
 /// error (already "<solver-key>: <reason>"-pinned) and travel as normal
@@ -40,10 +42,10 @@ struct ServiceServerOptions {
   service::ServiceOptions service;
   /// Loopback port to listen on; 0 picks an ephemeral port (port()).
   std::uint16_t port = 0;
-  /// Request-pump worker threads decoding/answering frames off the loop
-  /// thread (clamped to >= 1). Submit decoding is the expensive step;
-  /// more pumps let one connection's pipelined submits decode in
-  /// parallel.
+  /// Request-pump worker threads decoding/answering every frame but gets
+  /// off the loop thread (clamped to >= 1). Submit decoding is the
+  /// expensive step; more pumps let one connection's pipelined submits
+  /// decode in parallel.
   int pump_threads = 3;
 };
 

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -39,10 +40,9 @@ void send_all(int fd, const char* data, std::size_t size) {
   }
 }
 
-/// Reads exactly \p size bytes. Returns false on EOF before the first
-/// byte when \p eof_ok (the caller treats it as a clean close); EOF
-/// mid-buffer always throws.
-bool recv_all(int fd, char* data, std::size_t size, bool eof_ok) {
+/// Reads exactly \p size bytes of a frame whose head was already read, so
+/// EOF before the last byte throws.
+void recv_all(int fd, char* data, std::size_t size) {
   std::size_t received = 0;
   while (received < size) {
     const ssize_t n = ::recv(fd, data + received, size - received, 0);
@@ -50,13 +50,9 @@ bool recv_all(int fd, char* data, std::size_t size, bool eof_ok) {
       if (errno == EINTR) continue;
       throw_errno("net: recv");
     }
-    if (n == 0) {
-      if (received == 0 && eof_ok) return false;
-      throw std::runtime_error("net: connection closed mid-frame");
-    }
+    if (n == 0) throw std::runtime_error("net: connection closed mid-frame");
     received += static_cast<std::size_t>(n);
   }
-  return true;
 }
 
 /// Sets/clears O_NONBLOCK; best-effort (fcntl on a live socket only fails
@@ -76,12 +72,18 @@ void set_nonblocking_fd(int fd, bool nonblocking) noexcept {
 TcpConnection::~TcpConnection() { close(); }
 
 TcpConnection::TcpConnection(TcpConnection&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      read_buffer_(std::move(other.read_buffer_)),
+      read_begin_(std::exchange(other.read_begin_, 0)),
+      read_end_(std::exchange(other.read_end_, 0)) {}
 
 TcpConnection& TcpConnection::operator=(TcpConnection&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
+    read_buffer_ = std::move(other.read_buffer_);
+    read_begin_ = std::exchange(other.read_begin_, 0);
+    read_end_ = std::exchange(other.read_end_, 0);
   }
   return *this;
 }
@@ -112,19 +114,68 @@ void TcpConnection::send_frame(std::string_view frame) {
   send_all(fd_, frame.data(), frame.size());
 }
 
+bool TcpConnection::buffer_at_least(std::size_t count) {
+  if (!read_buffer_) {
+    read_buffer_ = std::make_unique_for_overwrite<char[]>(kReadChunk);
+  }
+  if (read_begin_ == read_end_) {
+    read_begin_ = read_end_ = 0;
+  } else if (read_begin_ + count > kReadChunk) {
+    std::memmove(read_buffer_.get(), read_buffer_.get() + read_begin_,
+                 read_end_ - read_begin_);
+    read_end_ -= read_begin_;
+    read_begin_ = 0;
+  }
+  while (read_end_ - read_begin_ < count) {
+    const ssize_t n = ::recv(fd_, read_buffer_.get() + read_end_,
+                             kReadChunk - read_end_, 0);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("net: recv");
+    }
+    if (n == 0) {
+      if (read_begin_ == read_end_) return false;
+      throw std::runtime_error("net: connection closed mid-frame");
+    }
+    read_end_ += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+bool TcpConnection::frame_buffered() const noexcept {
+  std::uint32_t length = 0;
+  if (read_end_ - read_begin_ < sizeof length) return false;
+  std::memcpy(&length, read_buffer_.get() + read_begin_, sizeof length);
+  return read_end_ - read_begin_ >= sizeof length + std::size_t{length};
+}
+
 std::optional<std::string> TcpConnection::recv_frame() {
   if (!valid()) throw std::runtime_error("net: recv on a closed connection");
   std::uint32_t length = 0;
-  if (!recv_all(fd_, reinterpret_cast<char*>(&length), sizeof length,
-                /*eof_ok=*/true)) {
+  if (!buffer_at_least(sizeof length)) {
     return std::nullopt;  // clean EOF between frames
   }
+  std::memcpy(&length, read_buffer_.get() + read_begin_, sizeof length);
   if (length > wire::kMaxFrameBytes) {
     throw std::runtime_error("net: frame length " + std::to_string(length) +
                              " exceeds the protocol cap");
   }
+  const std::size_t frame_size = sizeof length + std::size_t{length};
+  if (frame_size <= kReadChunk) {
+    (void)buffer_at_least(frame_size);
+    std::string body(read_buffer_.get() + read_begin_ + sizeof length,
+                     length);
+    read_begin_ += frame_size;
+    return body;
+  }
+  // Larger than the buffer: take the buffered head, then receive the rest
+  // straight into the body.
+  const std::size_t head = read_end_ - read_begin_ - sizeof length;
   std::string body(length, '\0');
-  (void)recv_all(fd_, body.data(), body.size(), /*eof_ok=*/false);
+  std::memcpy(body.data(), read_buffer_.get() + read_begin_ + sizeof length,
+              head);
+  read_begin_ = read_end_ = 0;
+  recv_all(fd_, body.data() + head, body.size() - head);
   return body;
 }
 

@@ -4,11 +4,15 @@
 /// (POSIX sockets; the library's deployment targets are Linux hosts).
 /// TcpConnection sends/receives whole wire frames (wire/protocol.hpp) --
 /// the length prefix is handled here, so the layers above only ever see
-/// complete frame bodies. All operations are blocking; concurrency comes
-/// from the callers' threads (one handler thread per accepted connection,
-/// one pooled connection per in-flight backend call).
+/// complete frame bodies. send_frame/recv_frame block; the event loop
+/// (net/event_loop.hpp) drives its own descriptors non-blocking and uses
+/// neither. The blocking users are the multiplexed client connections
+/// (net/mux_connection.hpp): one reader thread per connection calls
+/// recv_frame, any thread may send.
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -35,15 +39,27 @@ class TcpConnection {
 
   [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
 
-  /// Sends one pre-encoded frame (length prefix included,
-  /// wire::encode_frame). Throws std::runtime_error when the peer is gone.
+  /// Sends pre-encoded bytes whole: one frame (length prefix included,
+  /// wire::encode_frame) or several such frames back to back. Throws
+  /// std::runtime_error when the peer is gone.
   void send_frame(std::string_view frame);
 
   /// Receives one frame and returns its BODY (the bytes after the length
-  /// prefix, ready for wire::decode_frame_body). nullopt on clean EOF
-  /// before the first byte; throws std::runtime_error on mid-frame EOF,
-  /// transport errors, or a length beyond wire::kMaxFrameBytes.
+  /// prefix, ready for wire::decode_frame_body). Reads in bulk: one recv()
+  /// takes up to kReadChunk bytes into a per-connection buffer, and the
+  /// frames already in it are returned without another syscall; a frame
+  /// larger than the chunk reads its remainder straight into the body.
+  /// nullopt on clean EOF between frames (after every buffered frame was
+  /// returned); throws std::runtime_error on mid-frame EOF, transport
+  /// errors, or a length beyond wire::kMaxFrameBytes (before allocating
+  /// the body). Not thread-safe against itself: one reader per connection.
   [[nodiscard]] std::optional<std::string> recv_frame();
+
+  /// True when recv_frame can return a frame without calling recv().
+  [[nodiscard]] bool frame_buffered() const noexcept;
+
+  /// Most bytes one recv() in recv_frame asks for.
+  static constexpr std::size_t kReadChunk = std::size_t{64} << 10;
 
   /// Half-closes both directions WITHOUT releasing the descriptor: a peer
   /// thread blocked in recv_frame() observes EOF and exits cleanly, after
@@ -63,7 +79,17 @@ class TcpConnection {
   void set_nonblocking(bool nonblocking) noexcept;
 
  private:
+  /// Reads until at least \p count (<= kReadChunk) bytes are buffered.
+  /// False on EOF with nothing buffered; EOF after a partial frame throws.
+  bool buffer_at_least(std::size_t count);
+
   int fd_ = -1;
+  /// recv_frame's read buffer (kReadChunk bytes, allocated on first use
+  /// and never zero-filled); bytes [read_begin_, read_end_) are received
+  /// but not yet returned.
+  std::unique_ptr<char[]> read_buffer_;
+  std::size_t read_begin_ = 0;
+  std::size_t read_end_ = 0;
 };
 
 /// A listening socket bound to the loopback interface. close() (or the

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -391,6 +393,164 @@ TEST(FrontDoorTest, TwoBackendsMatchLocalClientBitwiseOn200Requests) {
   EXPECT_EQ(door_run.stats.submitted,
             static_cast<std::uint64_t>(kRequests));
   EXPECT_EQ(door_run.stats.cache_hits, local_stats.cache_hits);
+}
+
+TEST(FrontDoorTest, TwoBackendsMatchLocalClientBitwiseWith256InFlight) {
+  // The pipelined twin of the pin above: one TcpClient keeps 256 requests
+  // in flight, so the door's loop turns forward many frames at once and
+  // each backend's batch leaves in one write. Every request carries its
+  // own seed, so no payload repeats: each report is a fresh solve on both
+  // sides and its provenance does not depend on timing.
+  const std::vector<gen::NamedInstance> scenarios = mixed_scenarios();
+  constexpr int kRequests = 256;
+  const auto scenario = [&](int r) -> const gen::NamedInstance& {
+    return scenarios[static_cast<std::size_t>(r) % scenarios.size()];
+  };
+  const auto options = [](int r) {
+    SolveOptions seeded = stream_options();
+    seeded.seed = 5000 + static_cast<std::uint64_t>(r);
+    return seeded;
+  };
+
+  LocalClient local(small_service());
+  std::vector<SolveReport> expected;
+  for (int r = 0; r < kRequests; ++r) {
+    expected.push_back(local.get(
+        local.submit(scenario(r).view(), client::kAutoSolver, options(r))));
+  }
+  local.shutdown();
+
+  std::vector<std::unique_ptr<net::ServiceServer>> backends;
+  for (int b = 0; b < 2; ++b) {
+    backends.push_back(std::make_unique<net::ServiceServer>(
+        net::ServiceServerOptions{small_service(), 0}));
+  }
+  net::FrontDoor door({loopback_backends(backends), 0});
+  TcpClient client(door.port());
+  std::vector<std::future<client::RequestId>> submits;
+  for (int r = 0; r < kRequests; ++r) {
+    submits.push_back(client.submit_async(scenario(r).view(),
+                                          client::kAutoSolver, options(r)));
+  }
+  std::vector<std::future<SolveReport>> gets;
+  for (auto& submit : submits) gets.push_back(client.get_async(submit.get()));
+  for (int r = 0; r < kRequests; ++r) {
+    const SolveReport report = gets[static_cast<std::size_t>(r)].get();
+    EXPECT_TRUE(wire::reports_payload_equal(
+        expected[static_cast<std::size_t>(r)], report))
+        << "request " << r << " diverged through the pipelined door";
+  }
+
+  const obs::TelemetrySnapshot telemetry = client.telemetry();
+  EXPECT_EQ(telemetry.counter_or("door.submits"),
+            static_cast<std::uint64_t>(kRequests));
+  EXPECT_EQ(telemetry.counter_or("door.backend_failures"), 0u);
+  for (const auto& backend : backends) {
+    EXPECT_GT(backend->service().stats().submitted, 0u);
+  }
+  client.shutdown();
+  for (const auto& backend : backends) backend->wait();
+}
+
+TEST(FrontDoorTest, StoppedBackendFailsEveryPendingGetWithTheDoorKey) {
+  // The dead-backend contract on the batched path: 64 requests are in
+  // flight when backend 1 goes away. Backend 1 is scripted: it acks every
+  // submit and parks every get, then closes its link once all of its gets
+  // arrived. Each get parked there must resolve, in bounded time, with a
+  // front-door-keyed runtime error; backend 0's requests complete.
+  net::ServiceServer live({small_service(), 0});
+  net::TcpListener listener = net::TcpListener::bind_loopback(0);
+  std::atomic<int> acked{0};
+  std::atomic<int> parked{0};
+  std::atomic<int> link_fd{-1};
+  std::thread dying([&] {
+    std::optional<net::TcpConnection> link = listener.accept();
+    if (!link) return;
+    link_fd.store(link->fd());
+    try {
+      while (const std::optional<std::string> body = link->recv_frame()) {
+        const std::optional<wire::Frame> frame =
+            wire::decode_frame_body(*body);
+        if (!frame) break;
+        if (frame->type == wire::MessageType::kSubmit) {
+          wire::Writer ack;
+          ack.u64(static_cast<std::uint64_t>(acked.fetch_add(1) + 1));
+          link->send_frame(wire::encode_frame(wire::MessageType::kSubmitOk,
+                                              frame->request_id,
+                                              ack.buffer()));
+        } else if (frame->type == wire::MessageType::kGet) {
+          parked.fetch_add(1);
+        }
+      }
+    } catch (const std::exception&) {
+      // The test shut the link down under a send: the same stop.
+    }
+  });
+
+  constexpr int kRequests = 64;
+  std::vector<std::future<SolveReport>> gets;
+  int hung = 0;
+  {
+    net::FrontDoor door({{net::Endpoint{net::kLoopbackHost, live.port()},
+                          net::Endpoint{net::kLoopbackHost, listener.port()}},
+                         0});
+    TcpClient client(door.port());
+    const std::vector<gen::NamedInstance> scenarios = mixed_scenarios();
+    std::vector<std::future<client::RequestId>> submits;
+    for (int r = 0; r < kRequests; ++r) {
+      SolveOptions options = stream_options();
+      options.seed = 9000 + static_cast<std::uint64_t>(r);
+      submits.push_back(client.submit_async(
+          scenarios[static_cast<std::size_t>(r) % scenarios.size()].view(),
+          client::kAutoSolver, options));
+    }
+    for (auto& submit : submits) {
+      gets.push_back(client.get_async(submit.get()));
+    }
+    // Every get routed to backend 1 is parked there; now stop it.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (parked.load() < acked.load() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_EQ(parked.load(), acked.load());
+    if (link_fd.load() >= 0) (void)::shutdown(link_fd.load(), SHUT_RDWR);
+    for (auto& get : gets) {
+      if (get.wait_for(std::chrono::seconds(10)) !=
+          std::future_status::ready) {
+        ++hung;
+      }
+    }
+    // Backend 1 is gone for good: its port refuses, so the wire shutdown
+    // counts it as shut down.
+    listener.shutdown();
+    dying.join();
+    listener.close();
+    client.shutdown();
+  }
+  live.wait();
+  ASSERT_EQ(hung, 0) << "pending gets hung after their backend stopped";
+
+  // Read the outcomes only now that the client's reader thread is joined:
+  // the exception objects are then released on this thread alone.
+  int failed = 0;
+  int completed = 0;
+  for (auto& get : gets) {
+    try {
+      const SolveReport report = get.get();
+      EXPECT_TRUE(report.error.empty()) << report.error;
+      ++completed;
+    } catch (const std::runtime_error& e) {
+      ++failed;
+      EXPECT_EQ(std::string(e.what()).rfind("front-door: backend 1 ", 0), 0u)
+          << e.what();
+    }
+  }
+  EXPECT_GT(acked.load(), 0) << "no request routed to backend 1";
+  EXPECT_LT(acked.load(), kRequests) << "no request routed to backend 0";
+  EXPECT_EQ(failed, acked.load());
+  EXPECT_EQ(completed, kRequests - acked.load());
 }
 
 TEST(FrontDoorTest, WelfareInvariantAcrossBackendCounts) {
