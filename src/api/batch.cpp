@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <exception>
+#include <thread>
 
 #include "api/registry.hpp"
 #include "api/scheduler.hpp"
 #include "support/deadline.hpp"
-#include "support/parallel.hpp"
 
 namespace ssa {
 
@@ -75,20 +75,17 @@ BatchResult solve_batch(std::span<const BatchJob> jobs,
     }
   } else {
     // The shared scheduling core (also behind the AuctionService shard
-    // pools): one worker per requested thread drains the job queue. Each
-    // worker caps its solver's internal OpenMP loops at one thread --
-    // batch-level parallelism replaces loop-level parallelism, exactly as
-    // the old single OpenMP region did via non-nested teams. Results never
+    // pools): one worker per requested thread drains the job queue, and
+    // each job's solve runs on the worker that takes it. Results never
     // depend on the thread count (job i always produces reports[i]).
     // Never spawn more workers than jobs (the scheduler is per-call, so
-    // idle threads would be pure create/join overhead), but at least one:
-    // SolveScheduler reads 0 as "hardware concurrency".
-    const int requested =
-        options.threads == 0 ? parallel_threads() : options.threads;
+    // idle threads would be pure create/join overhead), but at least one.
+    const unsigned requested = options.threads > 0
+                                   ? static_cast<unsigned>(options.threads)
+                                   : std::thread::hardware_concurrency();
     const std::size_t workers = std::max<std::size_t>(
-        1, std::min(static_cast<std::size_t>(requested), jobs.size()));
+        1, std::min<std::size_t>(requested, jobs.size()));
     SolveScheduler scheduler(static_cast<int>(workers));
-    const bool cap_inner_loops = scheduler.threads() > 1;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       // Deadline-ordered execution: a job's time budget is its effective
       // deadline, so tightly-budgeted jobs start first. Pure scheduling --
@@ -98,10 +95,7 @@ BatchResult solve_batch(std::span<const BatchJob> jobs,
       // solvers apply (support/deadline.hpp), so a job budgeted only
       // through its pipeline section still sorts by that budget.
       (void)scheduler.submit(
-          [&run_one, cap_inner_loops, i](double wait) {
-            const ThreadCountScope inner_scope(cap_inner_loops ? 1 : 0);
-            run_one(i, wait);
-          },
+          [&run_one, i](double wait) { run_one(i, wait); },
           SolveScheduler::TaskOptions{
               effective_budget(jobs[i].options.time_budget_seconds,
                                jobs[i].options.pipeline.time_budget_seconds),

@@ -34,10 +34,10 @@ struct BatchJob {
 };
 
 struct BatchOptions {
-  /// Worker count for the batch scheduler: 0 = runtime default, 1 =
-  /// strictly serial (no worker threads spawned), > 1 = that many queue
-  /// workers. Reports are identical for any value: job i always produces
-  /// reports[i].
+  /// Worker count for the batch scheduler: <= 0 = hardware concurrency,
+  /// 1 = strictly serial (no worker threads spawned), > 1 = that many
+  /// queue workers; never more workers than jobs. Reports are identical
+  /// for any value: job i always produces reports[i].
   int threads = 0;
 };
 

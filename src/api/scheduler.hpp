@@ -6,10 +6,11 @@
 /// submission order as the tie-break; tasks without a budget sort last among
 /// themselves in FIFO order) drained by a fixed pool of worker threads, plus
 /// an admission check that flags tasks whose deadline is already unmeetable
-/// when they are submitted. solve_batch used to carry its own OpenMP loop;
-/// extracting the queue + worker loop here means the one-shot batch driver
-/// and the service shard pools run the exact same code, and both can report
-/// how long a task waited in the queue (SolveReport::queue_wait_seconds).
+/// when they are submitted. It is the library's only source of parallelism:
+/// each task's solve runs on the worker that dequeued it, so the one-shot
+/// batch driver and the service shard pools run the exact same code, and
+/// both can report how long a task waited in the queue
+/// (SolveReport::queue_wait_seconds).
 ///
 /// Admission estimates the completion time of a new task as
 ///     (tasks scheduled before it / workers) * global cost EMA

@@ -4,8 +4,6 @@
 #include <exception>
 #include <stdexcept>
 
-#include "support/parallel.hpp"
-
 namespace ssa {
 
 namespace detail {
@@ -21,8 +19,6 @@ std::string normalized_solver_error(const std::string& solver,
 
 SolveReport Solver::solve(const AnyInstance& instance,
                           const SolveOptions& options) const {
-  // Bound the solver's internal parallel loops; never changes the report.
-  const ThreadCountScope thread_scope(options.threads);
   const auto start = std::chrono::steady_clock::now();
   SolveReport report;
   try {

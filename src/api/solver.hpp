@@ -65,11 +65,6 @@ struct SolveOptions {
   /// "mechanism" does not yet thread a deadline through its VCG +
   /// decomposition stages.
   double time_budget_seconds = 0.0;
-  /// Worker threads for the solver's internal parallel loops (0 = runtime
-  /// default). Applied by Solver::solve as a scoped OpenMP thread count;
-  /// results never depend on it (parallel_for keeps a fixed
-  /// iteration-to-result mapping). No effect in non-OpenMP builds.
-  int threads = 0;
   /// Allow warm-starting the LP from a cached basis when the caller supplies
   /// one through \p warm_context. Off forces a cold solve even with a hint
   /// present. Serialized (a client may pin cold solves for benchmarking);
@@ -204,9 +199,10 @@ class Solver {
   /// One-line human description including the proven guarantee.
   [[nodiscard]] virtual std::string description() const = 0;
 
-  /// Runs the algorithm. Never throws for out-of-domain instances; the
-  /// failure reason lands in SolveReport::error and the report carries an
-  /// empty (feasible = false) allocation.
+  /// Runs the algorithm on the calling thread; no solver starts threads of
+  /// its own. Never throws for out-of-domain instances; the failure reason
+  /// lands in SolveReport::error and the report carries an empty
+  /// (feasible = false) allocation.
   [[nodiscard]] SolveReport solve(const AnyInstance& instance,
                                   const SolveOptions& options = {}) const;
 

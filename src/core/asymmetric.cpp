@@ -187,8 +187,6 @@ Allocation best_asymmetric_rounds(const AsymmetricInstance& instance,
                                   const FractionalSolution& fractional,
                                   int repetitions, std::uint64_t seed,
                                   const Deadline& deadline, bool* timed_out) {
-  // Built before the parallel loop, so its domain check throws here: an
-  // exception may not escape an OpenMP worker.
   const detail::SamplingPlan plan = asymmetric_plan(instance, fractional);
   Rng base(seed);
   return detail::best_rounds(

@@ -119,10 +119,10 @@ class AsymmetricInstance {
                                           const FractionalSolution& fractional,
                                           Rng& rng);
 
-/// Best of \p repetitions rounding passes (parallel, deterministic for a
-/// fixed \p seed regardless of thread count as long as \p deadline does not
-/// fire). Repetition 0 always runs so the result is feasible even under an
-/// expired deadline; skipped repetitions set *\p timed_out when non-null.
+/// Best of \p repetitions rounding passes (deterministic for a fixed
+/// \p seed as long as \p deadline does not fire). Repetition 0 always runs
+/// so the result is feasible even under an expired deadline; skipped
+/// repetitions set *\p timed_out when non-null.
 [[nodiscard]] Allocation best_asymmetric_rounds(
     const AsymmetricInstance& instance, const FractionalSolution& fractional,
     int repetitions, std::uint64_t seed, const Deadline& deadline = {},

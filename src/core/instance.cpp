@@ -39,7 +39,7 @@ AuctionInstance::AuctionInstance(ConflictGraph graph, Ordering order,
     }
   }
   position_ = ordering_positions(order_);
-  graph_.ensure_adjacency();  // instances are shared across rounding threads
+  graph_.ensure_adjacency();  // solve_batch and service workers share instances
   if (rho_ <= 0.0) rho_ = rho_of_ordering(graph_, order_).value;
   rho_ = std::max(rho_, 1.0);
   unweighted_ = graph_.is_unweighted();

@@ -60,12 +60,11 @@ struct SamplingPlan;
                                     const FractionalSolution& fractional,
                                     Rng& rng);
 
-/// Best of \p repetitions independent rounding passes (parallel, but
-/// deterministic for a fixed \p seed regardless of thread count as long as
-/// \p deadline does not fire). Repetition 0 always runs so the result is a
-/// feasible allocation even under an expired deadline; repetitions skipped
-/// after expiry set *\p timed_out (when non-null) -- a truncated run is
-/// reported, never silent.
+/// Best of \p repetitions independent rounding passes (deterministic for a
+/// fixed \p seed as long as \p deadline does not fire). Repetition 0
+/// always runs so the result is a feasible allocation even under an expired
+/// deadline; repetitions skipped after expiry set *\p timed_out (when
+/// non-null) -- a truncated run is reported, never silent.
 [[nodiscard]] Allocation best_of_rounds(const AuctionInstance& instance,
                                         const FractionalSolution& fractional,
                                         int repetitions, std::uint64_t seed,

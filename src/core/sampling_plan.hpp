@@ -5,11 +5,10 @@
 /// per decomposition half and bidder that bidder's support columns in LP
 /// column order, with cumulative thresholds (running sums of x_{v,T} /
 /// denominator) and values. It is built once per LP solution; Monte-Carlo
-/// passes run against it in reused per-worker scratch, with no heap
+/// passes run against it in scratch reused from pass to pass, with no heap
 /// allocation and no virtual Valuation::value call, drawing, comparing and
 /// summing exactly what per-pass tables would.
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -19,7 +18,6 @@
 #include "core/allocation.hpp"
 #include "core/auction_lp.hpp"
 #include "support/deadline.hpp"
-#include "support/parallel.hpp"
 #include "support/random.hpp"
 
 namespace ssa::detail {
@@ -69,7 +67,7 @@ struct SamplingPlan {
   std::vector<double> value;
 };
 
-/// One worker's scratch space, reused from pass to pass.
+/// Scratch space, reused from pass to pass.
 struct PassScratch {
   explicit PassScratch(std::size_t n)
       : uniforms(2 * n), bundles(n), values(n), result(n), result_values(n),
@@ -132,9 +130,8 @@ double round_halves(const SamplingPlan& plan, std::size_t stride,
 
 /// Best of \p passes: pass(i, scratch) leaves pass i's allocation in
 /// scratch.result and returns its welfare; the first pass of maximum
-/// welfare wins whatever the thread count, and each worker keeps only its
-/// best. Pass 0 always runs; later ones are skipped once \p deadline fires
-/// (setting *\p timed_out) and could not win: welfare is non-negative.
+/// welfare wins. Pass 0 always runs; once \p deadline has fired, the loop
+/// stops before the next pass and sets *\p timed_out.
 template <typename Pass>
 Allocation best_rounds(std::size_t num_bidders, std::int64_t passes,
                        const Deadline& deadline, bool* timed_out,
@@ -142,41 +139,21 @@ Allocation best_rounds(std::size_t num_bidders, std::int64_t passes,
   if (passes < 1) {
     throw std::invalid_argument("best_rounds: repetitions must be >= 1");
   }
-  struct Slot {
-    PassScratch scratch;
-    std::vector<Bundle> best;
-    double welfare = -1.0;  ///< below every pass until the worker's first
-    std::int64_t index = 0;
-
-    [[nodiscard]] bool beaten_by(double w, std::int64_t i) const {
-      return w > welfare || (w == welfare && i < index);
+  PassScratch scratch(num_bidders);
+  std::vector<Bundle> best;
+  double best_welfare = -1.0;  // below every pass: welfare is non-negative
+  for (std::int64_t i = 0; i < passes; ++i) {
+    if (i != 0 && deadline.expired()) {
+      if (timed_out != nullptr) *timed_out = true;
+      break;
     }
-  };
-  std::vector<Slot> slots(static_cast<std::size_t>(parallel_threads()),
-                          Slot{PassScratch(num_bidders), {}});
-  std::atomic<bool> truncated{false};
-  parallel_for_slots(passes, static_cast<int>(slots.size()),
-                     [&](std::ptrdiff_t i, int worker) {
-                       if (i != 0 && deadline.expired()) {
-                         truncated.store(true, std::memory_order_relaxed);
-                         return;
-                       }
-                       Slot& slot = slots[static_cast<std::size_t>(worker)];
-                       const double welfare = pass(i, slot.scratch);
-                       if (slot.beaten_by(welfare, i)) {
-                         slot.welfare = welfare;
-                         slot.index = i;
-                         slot.best = slot.scratch.result;
-                       }
-                     });
-  if (timed_out != nullptr && truncated.load(std::memory_order_relaxed)) {
-    *timed_out = true;
+    const double welfare = pass(i, scratch);
+    if (welfare > best_welfare) {
+      best_welfare = welfare;
+      best = scratch.result;
+    }
   }
-  Slot* winner = &slots.front();
-  for (Slot& slot : slots) {
-    if (winner->beaten_by(slot.welfare, slot.index)) winner = &slot;
-  }
-  return Allocation{std::move(winner->best)};
+  return Allocation{std::move(best)};
 }
 
 }  // namespace ssa::detail

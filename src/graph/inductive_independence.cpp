@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "graph/independent_set.hpp"
-#include "support/parallel.hpp"
 
 namespace ssa {
 
@@ -18,13 +17,12 @@ std::vector<VertexRho> rho_per_vertex(const ConflictGraph& graph,
   }
   const std::vector<int> position = ordering_positions(order);
   std::vector<VertexRho> result(n);
-
-  graph.ensure_adjacency();  // neighbors() must be thread-safe below
-  parallel_for(static_cast<std::ptrdiff_t>(n), [&](std::ptrdiff_t vi) {
-    const std::size_t v = static_cast<std::size_t>(vi);
+  std::vector<int> candidates;
+  std::vector<double> gains;
+  for (std::size_t v = 0; v < n; ++v) {
     // Backward neighborhood of v and the gains wbar(u, v).
-    std::vector<int> candidates;
-    std::vector<double> gains;
+    candidates.clear();
+    gains.clear();
     for (int u : graph.neighbors(v)) {
       if (position[u] < position[v]) {
         candidates.push_back(u);
@@ -34,7 +32,7 @@ std::vector<VertexRho> rho_per_vertex(const ConflictGraph& graph,
     const IndependenceOptimum opt = max_gain_independent_subset(
         graph, candidates, gains, node_budget_per_vertex);
     result[v] = VertexRho{opt.value, opt.exact};
-  });
+  }
   return result;
 }
 

@@ -17,7 +17,6 @@
 #include "service/basis_cache.hpp"
 #include "service/result_cache.hpp"
 #include "support/deadline.hpp"
-#include "support/parallel.hpp"
 
 namespace ssa::service {
 
@@ -30,11 +29,9 @@ constexpr int kShardBits = 8;
 constexpr int kMaxShards = 1 << kShardBits;
 
 /// Folds the result-relevant SolveOptions fields into the cache key.
-/// Fields that can never change the report payload (threads) stay out, so
-/// resubmissions with a different thread cap still hit. time_budget_seconds
-/// is included: although timed-out reports are never cached, the budget
-/// also scales the exact solvers' node budgets, which changes reports that
-/// finish in time.
+/// time_budget_seconds is included: although timed-out reports are never
+/// cached, the budget also scales the exact solvers' node budgets, which
+/// changes reports that finish in time.
 void mix_options(FingerprintHasher& hasher, const SolveOptions& options) {
   hasher.mix(options.seed);
   hasher.mix(options.time_budget_seconds);
@@ -396,10 +393,6 @@ RequestId AuctionService::submit(const AnyInstance& instance,
   try {
     admission = shard.scheduler.submit(
         [this, &shard, id, request](double queue_wait) {
-          // Workers provide request-level parallelism; solvers' internal
-          // OpenMP loops run serially per worker (SolveOptions::threads
-          // still overrides inside Solver::solve).
-          const ThreadCountScope inner_scope(1);
           Admission verdict;
           {
             const std::lock_guard<std::mutex> admission_lock(shard.mutex);

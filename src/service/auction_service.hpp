@@ -110,9 +110,9 @@ struct ServiceOptions {
   /// to [1, 256]. More shards = more cache/queue independence, not
   /// different results.
   int shards = 4;
-  /// Worker threads per shard (>= 1). Each worker caps its solver's
-  /// internal OpenMP loops at one thread, exactly like solve_batch workers
-  /// -- request-level parallelism replaces loop-level parallelism.
+  /// Worker threads per shard (>= 1). Each request's solve runs on the
+  /// worker that takes it, exactly like solve_batch workers: parallelism
+  /// is request-level only.
   int threads_per_shard = 1;
   /// LRU byte budget per shard; 0 disables result caching.
   std::size_t cache_bytes_per_shard = std::size_t{8} << 20;

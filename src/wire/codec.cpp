@@ -113,7 +113,7 @@ std::vector<double> read_doubles(Reader& reader) {
 void write_options(Writer& writer, const SolveOptions& options) {
   writer.u64(options.seed);
   writer.f64(options.time_budget_seconds);
-  writer.u32(static_cast<std::uint32_t>(options.threads));
+  writer.u32(0);  // retired thread-count slot, always 0 until the next version
   writer.u32(static_cast<std::uint32_t>(options.pipeline.rounding_repetitions));
   writer.boolean(options.pipeline.derandomize);
   writer.u64(options.pipeline.seed);
@@ -141,7 +141,7 @@ SolveOptions read_options(Reader& reader) {
   SolveOptions options;
   options.seed = reader.u64();
   options.time_budget_seconds = reader.f64();
-  options.threads = static_cast<int>(reader.u32());
+  (void)reader.u32();  // retired thread-count slot: read and dropped
   options.pipeline.rounding_repetitions = static_cast<int>(reader.u32());
   options.pipeline.derandomize = reader.boolean();
   options.pipeline.seed = reader.u64();

@@ -1,15 +1,20 @@
 // Tests for the unified Solver API: registry round-trip over every
 // registered solver (symmetric and asymmetric), solve_batch determinism
-// across thread counts on mixed-type job lists, error capture for
-// out-of-domain jobs (including instance-type mismatches and the pinned
-// "<solver-key>: <reason>" error format), cooperative time budgets, and
-// equivalence of the registry adapters with the solve_pipeline /
-// solve_mechanism engine entry points they wrap.
+// across thread counts on mixed-type job lists and its worker count, error
+// capture for out-of-domain jobs (including instance-type mismatches and
+// the pinned "<solver-key>: <reason>" error format), cooperative time
+// budgets, and equivalence of the registry adapters with the
+// solve_pipeline / solve_mechanism engine entry points they wrap.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 
 #include "api/api.hpp"
 #include "gen/scenario.hpp"
@@ -181,34 +186,6 @@ TEST(SolverApi, SharedSeedSubsumesSectionSeeds) {
   EXPECT_DOUBLE_EQ(ra.welfare, rb.welfare);
 }
 
-TEST(SolverApi, ThreadOptionNeverChangesTheResult) {
-  // Covers the Monte-Carlo solvers of both families: their rounding loops
-  // run under parallel_for with per-repetition split RNGs, so the thread
-  // count must never leak into the result.
-  const AuctionInstance symmetric =
-      gen::make_disk_auction(14, 2, gen::ValuationMix::kMixed, 88);
-  const AsymmetricInstance asymmetric =
-      gen::make_random_asymmetric(14, 2, 0.25, gen::ValuationMix::kMixed, 89);
-  const struct {
-    const char* solver;
-    AnyInstance instance;
-  } cases[] = {{"lp-rounding", AnyInstance(symmetric)},
-               {"asymmetric-lp-rounding", AnyInstance(asymmetric)}};
-  for (const auto& c : cases) {
-    SolveOptions one;
-    one.seed = 4;
-    one.threads = 1;
-    SolveOptions many = one;
-    many.threads = 8;
-    const auto solver = make_solver(c.solver);
-    const SolveReport a = solver->solve(c.instance, one);
-    const SolveReport b = solver->solve(c.instance, many);
-    EXPECT_TRUE(a.error.empty()) << c.solver << ": " << a.error;
-    EXPECT_EQ(a.allocation.bundles, b.allocation.bundles) << c.solver;
-    EXPECT_DOUBLE_EQ(a.welfare, b.welfare) << c.solver;
-  }
-}
-
 TEST(EngineEquivalence, SolvePipelineMatchesLpRoundingSolver) {
   // The registry adapter is a faithful wrapper over the solve_pipeline
   // engine: same allocation, welfare, guarantee and LP bound.
@@ -283,6 +260,52 @@ TEST(SolveBatch, DeterministicAcrossThreadCounts) {
     EXPECT_DOUBLE_EQ(serial.reports[i].guarantee,
                      parallel.reports[i].guarantee);
   }
+}
+
+/// Test-only solver that allocates nothing and records the thread it ran
+/// on. It holds each solve for a moment so that every worker of a batch
+/// takes a job, and it stays in the registry for the later tests, which
+/// it passes like any solver.
+class ThreadProbeSolver final : public Solver {
+ public:
+  static constexpr const char* kName = "test-thread-probe";
+  static inline std::mutex mutex;
+  static inline std::set<std::thread::id> threads;
+
+  [[nodiscard]] std::string name() const override { return kName; }
+  [[nodiscard]] std::string description() const override {
+    return "records the thread each solve runs on";
+  }
+
+ protected:
+  [[nodiscard]] SolveReport solve_impl(const AnyInstance&,
+                                       const SolveOptions&) const override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const std::lock_guard<std::mutex> lock(mutex);
+    threads.insert(std::this_thread::get_id());
+    return {};
+  }
+};
+
+TEST(SolveBatch, NegativeThreadCountUsesTheDefaultWorkerCount) {
+  if (!registry().contains(ThreadProbeSolver::kName)) {
+    registry().add(ThreadProbeSolver::kName,
+                   [] { return std::make_unique<ThreadProbeSolver>(); });
+  }
+  const AuctionInstance instance =
+      gen::make_disk_auction(6, 1, gen::ValuationMix::kMixed, 64);
+  const std::vector<BatchJob> jobs(
+      64, BatchJob{ThreadProbeSolver::kName, &instance, "probe", {}});
+  ThreadProbeSolver::threads.clear();
+  const BatchResult result = solve_batch(jobs, BatchOptions{.threads = -1});
+  ASSERT_EQ(result.reports.size(), jobs.size());
+  for (const SolveReport& report : result.reports) {
+    EXPECT_TRUE(report.error.empty()) << report.error;
+  }
+  // A count <= 0 means the hardware concurrency, not one worker per job.
+  EXPECT_GE(ThreadProbeSolver::threads.size(), 1u);
+  EXPECT_LE(ThreadProbeSolver::threads.size(),
+            std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(SolveBatch, OutOfDomainJobReportsErrorInsteadOfThrowing) {

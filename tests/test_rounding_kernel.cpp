@@ -5,7 +5,7 @@
 // tables rebuilt on every pass: decompose + round_with_uniforms for
 // Algorithms 1 and 2 + 3, round_asymmetric with a per-pass by_bidder
 // table, and the decomposition loop pricing through one SparseValuation
-// instance per round. Every comparison runs under 1 and 4 OpenMP threads.
+// instance per round.
 //
 // The second half checks the paper's guarantees as properties over the same
 // instances: feasibility of every best_of_rounds output, Condition (5) for
@@ -33,7 +33,6 @@
 #include "mechanism/decomposition.hpp"
 #include "support/deadline.hpp"
 #include "support/pairwise.hpp"
-#include "support/parallel.hpp"
 #include "support/random.hpp"
 #include "support/stats.hpp"
 
@@ -237,12 +236,11 @@ Allocation best_rounds(int repetitions, std::uint64_t seed, const Pass& pass,
   Rng base(seed);
   std::vector<Allocation> allocations(static_cast<std::size_t>(repetitions));
   std::vector<double> welfare(static_cast<std::size_t>(repetitions), 0.0);
-  parallel_for(repetitions, [&](std::ptrdiff_t r) {
+  for (std::size_t r = 0; r < allocations.size(); ++r) {
     Rng child = base.split(static_cast<std::uint64_t>(r));
-    allocations[static_cast<std::size_t>(r)] = pass(child);
-    welfare[static_cast<std::size_t>(r)] =
-        welfare_of(allocations[static_cast<std::size_t>(r)]);
-  });
+    allocations[r] = pass(child);
+    welfare[r] = welfare_of(allocations[r]);
+  }
   std::size_t best = 0;
   for (std::size_t r = 1; r < welfare.size(); ++r) {
     if (welfare[r] > welfare[best]) best = r;
@@ -276,11 +274,9 @@ Allocation derandomized_round(const AuctionInstance& instance,
                                       uniforms, resolve_partial));
   };
   std::vector<double> welfare(family.seed_count(), 0.0);
-  parallel_for(static_cast<std::ptrdiff_t>(family.seed_count()),
-               [&](std::ptrdiff_t s) {
-                 welfare[static_cast<std::size_t>(s)] = instance.welfare(
-                     run(family.values(static_cast<std::uint64_t>(s), n)));
-               });
+  for (std::uint64_t s = 0; s < family.seed_count(); ++s) {
+    welfare[s] = instance.welfare(run(family.values(s, n)));
+  }
   std::uint64_t best_seed = 0;
   for (std::uint64_t s = 1; s < family.seed_count(); ++s) {
     if (welfare[s] > welfare[best_seed]) best_seed = s;
@@ -544,7 +540,7 @@ TEST(KernelInstances, CoverUnweightedWeightedAndAsymmetric) {
 }
 
 // ---------------------------------------------------------------------------
-// Bitwise identity with the reference, under 1 and 4 threads.
+// Bitwise identity with the reference.
 
 /// The LP optimum plus a synthetic spread x. The optima above are nearly
 /// integral (about one column per bidder); the spread one puts several
@@ -570,10 +566,7 @@ std::vector<FractionalSolution> fractionals(const Instance& instance,
   return {lp, spread};
 }
 
-class KernelIdentity : public ::testing::TestWithParam<int> {};
-
-TEST_P(KernelIdentity, BestOfRoundsAndSinglePasses) {
-  const ThreadCountScope threads(GetParam());
+TEST(KernelIdentity, BestOfRoundsAndSinglePasses) {
   for (const AuctionInstance* instance : symmetric_instances()) {
     for (const FractionalSolution& x :
          fractionals(*instance, solve_auction_lp(*instance))) {
@@ -602,8 +595,7 @@ TEST_P(KernelIdentity, BestOfRoundsAndSinglePasses) {
   }
 }
 
-TEST_P(KernelIdentity, DerandomizedRound) {
-  const ThreadCountScope threads(GetParam());
+TEST(KernelIdentity, DerandomizedRound) {
   for (const AuctionInstance* instance : symmetric_instances()) {
     if (instance->num_bidders() > 20) continue;  // p^2 passes each
     const PairwiseFamily family(instance->num_bidders(), 31);
@@ -618,8 +610,7 @@ TEST_P(KernelIdentity, DerandomizedRound) {
   }
 }
 
-TEST_P(KernelIdentity, AsymmetricRounds) {
-  const ThreadCountScope threads(GetParam());
+TEST(KernelIdentity, AsymmetricRounds) {
   for (const AsymmetricInstance* instance : asymmetric_instances()) {
     for (const FractionalSolution& x :
          fractionals(*instance, solve_asymmetric_lp(*instance))) {
@@ -642,8 +633,7 @@ TEST_P(KernelIdentity, AsymmetricRounds) {
   }
 }
 
-TEST_P(KernelIdentity, DecomposeFractional) {
-  const ThreadCountScope threads(GetParam());
+TEST(KernelIdentity, DecomposeFractional) {
   int entries = 0;
   for (const AuctionInstance* instance : symmetric_instances()) {
     if (instance->num_bidders() > 20) continue;
@@ -678,8 +668,6 @@ TEST_P(KernelIdentity, DecomposeFractional) {
   }
   EXPECT_GT(entries, 100);  // the loop really priced many rounds
 }
-
-INSTANTIATE_TEST_SUITE_P(Threads, KernelIdentity, ::testing::Values(1, 4));
 
 // ---------------------------------------------------------------------------
 // The paper's guarantees as properties over the same instances.

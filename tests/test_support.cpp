@@ -9,7 +9,6 @@
 
 #include "support/matrix.hpp"
 #include "support/pairwise.hpp"
-#include "support/parallel.hpp"
 #include "support/random.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -213,13 +212,6 @@ TEST(Matrix, SpectralRadiusOfKnownMatrices) {
   EXPECT_NEAR(spectral_radius(b), 0.5, 1e-6);
   Matrix zero(3, 3);
   EXPECT_NEAR(spectral_radius(zero), 0.0, 1e-12);
-}
-
-TEST(Parallel, ParallelForCoversAllIndices) {
-  std::vector<int> hits(257, 0);
-  parallel_for(257, [&](std::ptrdiff_t i) { hits[static_cast<std::size_t>(i)] = 1; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-  EXPECT_GE(parallel_threads(), 1);
 }
 
 }  // namespace

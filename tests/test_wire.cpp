@@ -178,11 +178,10 @@ TEST(WireReport, RejectsOutOfRangeEnums) {
 
 // ---------------------------------------------------------------- options
 
-TEST(WireOptions, RoundTripsNonDefaults) {
+SolveOptions non_default_options() {
   SolveOptions options;
   options.seed = 0xfeedface;
   options.time_budget_seconds = 1.5;
-  options.threads = 3;
   options.pipeline.rounding_repetitions = 128;
   options.pipeline.derandomize = true;
   options.pipeline.force_column_generation = true;
@@ -198,17 +197,49 @@ TEST(WireOptions, RoundTripsNonDefaults) {
   options.mechanism.decomposition.use_exact_pricing = false;
   options.mechanism.sample_seed = 0xabcd;
   options.warm_start = false;
+  return options;
+}
 
+std::string encode_options_bytes(const SolveOptions& options) {
   wire::Writer writer;
   wire::write_options(writer, options);
-  wire::Reader reader(writer.buffer());
+  return writer.take();
+}
+
+/// Offset of the retired thread-count slot (a u32) in an options block,
+/// after the u64 seed and the f64 time budget. This library writes 0
+/// there; a peer built before the slot was retired sends its thread count.
+constexpr std::size_t kLegacyThreadsSlot = 16;
+
+/// \p bytes with \p threads written little-endian into the retired slot
+/// of the options block that starts at \p options_at.
+std::string with_legacy_threads(std::string bytes, std::size_t options_at,
+                                std::uint32_t threads) {
+  for (std::size_t b = 0; b < 4; ++b) {
+    bytes[options_at + kLegacyThreadsSlot + b] =
+        static_cast<char>((threads >> (8 * b)) & 0xffu);
+  }
+  return bytes;
+}
+
+TEST(WireOptions, RoundTripsNonDefaults) {
+  const std::string bytes = encode_options_bytes(non_default_options());
+  wire::Reader reader(bytes);
   const SolveOptions decoded = wire::read_options(reader);
   ASSERT_FALSE(reader.failed());
   EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(encode_options_bytes(decoded), bytes);
+}
 
-  wire::Writer rewritten;
-  wire::write_options(rewritten, decoded);
-  EXPECT_EQ(rewritten.buffer(), writer.buffer());
+TEST(WireOptions, LegacyThreadCountIsReadAndDropped) {
+  const std::string zero_slot = encode_options_bytes(non_default_options());
+  const std::string legacy = with_legacy_threads(zero_slot, 0, 3);
+  ASSERT_NE(legacy, zero_slot);
+  wire::Reader reader(legacy);
+  const SolveOptions decoded = wire::read_options(reader);
+  ASSERT_FALSE(reader.failed());
+  EXPECT_TRUE(reader.exhausted());
+  EXPECT_EQ(encode_options_bytes(decoded), zero_slot);
 }
 
 // -------------------------------------------------------------- instances
@@ -669,13 +700,30 @@ TEST(WireFrame, CarriesSpanContextThroughEnvelope) {
 
 // ------------------------------------------------------------------- fuzz
 
+/// An asymmetric-instance submit with non-default options, as a peer built
+/// before the thread-count slot was retired sends it: the slot holds 3.
+std::string legacy_asymmetric_submit() {
+  const AsymmetricInstance instance =
+      gen::make_random_asymmetric(6, 3, 0.4, gen::ValuationMix::kMixed, 91);
+  const std::string solver = "asymmetric-lp-rounding";
+  wire::Writer prefix;
+  prefix.str(solver);
+  return with_legacy_threads(
+      wire::encode_submit(AnyInstance(instance), solver,
+                          non_default_options()),
+      prefix.buffer().size(), 3);
+}
+
 TEST(WireFuzz, TruncationNeverCrashesAnyDecoder) {
   const AuctionInstance instance = tiny_symmetric();
-  const std::string submit =
-      wire::encode_submit(AnyInstance(instance), "auto", SolveOptions{});
-  for (std::size_t len = 0; len < submit.size(); ++len) {
-    // Every strict prefix must decode to "malformed", never to a value.
-    EXPECT_FALSE(wire::decode_submit(submit.substr(0, len)).has_value());
+  for (const std::string& submit :
+       {wire::encode_submit(AnyInstance(instance), "auto", SolveOptions{}),
+        legacy_asymmetric_submit()}) {
+    ASSERT_TRUE(wire::decode_submit(submit).has_value());
+    for (std::size_t len = 0; len < submit.size(); ++len) {
+      // Every strict prefix must decode to "malformed", never to a value.
+      EXPECT_FALSE(wire::decode_submit(submit.substr(0, len)).has_value());
+    }
   }
   const std::string report_bytes = encode_report_bytes(mechanism_report());
   for (std::size_t len = 0; len < report_bytes.size(); ++len) {
@@ -696,22 +744,25 @@ TEST(WireFuzz, BitFlipsNeverCrashOrLeak) {
     return state;
   };
   const AuctionInstance instance = tiny_symmetric();
-  const std::string submit =
+  const std::string inputs[] = {
       wire::encode_submit(AnyInstance(instance), "lp-rounding",
-                          SolveOptions{});
-  const std::string report_bytes = encode_report_bytes(lp_report());
-  for (int round = 0; round < 2000; ++round) {
-    std::string mutated = (round % 2 == 0) ? submit : report_bytes;
+                          SolveOptions{}),
+      encode_report_bytes(lp_report()), legacy_asymmetric_submit()};
+  for (int round = 0; round < 3000; ++round) {
+    const int input = round % 3;
+    std::string mutated = inputs[input];
     const int flips = 1 + static_cast<int>(next() % 4);
     for (int f = 0; f < flips; ++f) {
       mutated[next() % mutated.size()] ^=
           static_cast<char>(1u << (next() % 8));
     }
-    if (round % 2 == 0) {
+    if (input != 1) {
       // Either cleanly rejected or a fully-formed request -- never a
       // crash, never an exception, never a half-built instance.
       const auto decoded = wire::decode_submit(mutated);
-      if (decoded) EXPECT_FALSE(decoded->instance.empty());
+      if (decoded) {
+        EXPECT_FALSE(decoded->instance.empty());
+      }
     } else {
       wire::Reader reader(mutated);
       (void)wire::read_report(reader);  // must not crash/throw (ASan/UBSan)
