@@ -87,9 +87,10 @@ void truthfulness_table() {
             expected_utilities(lie_outcome, truth, reported);
         const double gain = lie_utility[v] - truthful_utility[v];
         max_gain = std::max(max_gain, gain);
+        std::string misreport = "x";
+        misreport += Table::num(factor, 2);
         table.add_row({Table::integer(static_cast<long long>(seed)),
-                       Table::integer(static_cast<long long>(v)),
-                       "x" + Table::num(factor, 2),
+                       Table::integer(static_cast<long long>(v)), misreport,
                        Table::num(truthful_utility[v], 4),
                        Table::num(lie_utility[v], 4), Table::num(gain, 5)});
       }

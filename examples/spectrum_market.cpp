@@ -90,7 +90,8 @@ int main() {
     std::string channels;
     for (int j = 0; j < k; ++j) {
       if (bundle_has(allocation.bundles[v], j)) {
-        channels += (channels.empty() ? "" : ",") + std::to_string(j);
+        if (!channels.empty()) channels += ',';
+        channels += std::to_string(j);
       }
     }
     table.add_row({Table::integer(static_cast<long long>(v)), kind[v], channels,

@@ -41,7 +41,8 @@ int main() {
       channels.clear();
       for (int j = 0; j < k; ++j) {
         if (bundle_has(outcome.allocation.bundles[v], j)) {
-          channels += (channels.empty() ? "" : ",") + std::to_string(j);
+          if (!channels.empty()) channels += ',';
+          channels += std::to_string(j);
         }
       }
     }

@@ -25,19 +25,29 @@ std::string error_frame(std::uint64_t request_id, ErrorKind kind,
                             wire::encode_error(kind, message));
 }
 
+std::string submit_ok_frame(std::uint64_t request_id, service::RequestId id) {
+  wire::Writer writer;
+  writer.u64(id);
+  return wire::encode_frame(MessageType::kSubmitOk, request_id,
+                            writer.buffer());
+}
+
 }  // namespace
 
-/// Fixed worker pool pulling decoded frames off the loop thread. The loop
-/// must never block, and submit decoding (instance reconstruction) is the
+/// Fixed worker pool pulling frames off the loop thread. The loop must
+/// never block, and submit decoding (instance reconstruction) is the
 /// expensive step of the backend path -- pumping it here keeps the loop
 /// at wire speed and lets one connection's pipelined submits decode in
-/// parallel. Gets never come here (handle_frame answers them). Frames may
-/// complete out of order across workers; responses correlate by wire
+/// parallel. Gets and cached submits never come here (handle_frame
+/// answers them): a submit arrives only when its wire key missed the
+/// cache, and the pump decodes it and submits it under that key. Frames
+/// may complete out of order across workers; responses correlate by wire
 /// request id, which is the whole point of v3.
 struct ServiceServer::Pump {
   struct Job {
     EventConnectionPtr connection;
     wire::Frame frame;
+    Fingerprint key;  ///< the wire key of a kSubmit
   };
 
   std::mutex mutex;
@@ -59,7 +69,7 @@ struct ServiceServer::Pump {
             job = std::move(jobs.front());
             jobs.pop_front();
           }
-          owner->process(job.connection, job.frame);
+          owner->process(job.connection, job.frame, job.key);
         }
       });
     }
@@ -134,17 +144,29 @@ void ServiceServer::stop() {
 void ServiceServer::handle_frame(const EventConnectionPtr& connection,
                                  wire::Frame frame) {
   // Loop thread. A get is a claim plus a report encode, or a parked
-  // watcher: it never blocks, so it is answered right here. Everything
-  // else goes to the pump.
+  // watcher: it never blocks, so it is answered right here. So is a
+  // submit whose wire key is cached: a digest of the payload and a cache
+  // read, with no decode. Its ack leaves with this turn's batched write.
+  // Everything else goes to the pump.
   if (frame.type == MessageType::kGet) {
     process_get(connection, frame);
     return;
   }
-  pump_->post(Pump::Job{connection, std::move(frame)});
+  Fingerprint key;
+  if (frame.type == MessageType::kSubmit) {
+    key = service_.wire_key(frame.payload);
+    if (const std::optional<service::RequestId> id =
+            service_.submit_cached(key, frame.context)) {
+      connection->send(submit_ok_frame(frame.request_id, *id));
+      return;
+    }
+  }
+  pump_->post(Pump::Job{connection, std::move(frame), key});
 }
 
 void ServiceServer::process_submit(const EventConnectionPtr& connection,
-                                   const wire::Frame& frame) {
+                                   const wire::Frame& frame,
+                                   const Fingerprint& key) {
   const std::optional<wire::SubmitRequest> request =
       wire::decode_submit(frame.payload);
   if (!request) {
@@ -159,12 +181,9 @@ void ServiceServer::process_submit(const EventConnectionPtr& connection,
     // forwarding span, or the client's root span on a direct connection.
     SolveOptions options = request->options;
     options.span_context = frame.context;
-    const service::RequestId id =
-        service_.submit(request->instance.view(), request->solver, options);
-    wire::Writer writer;
-    writer.u64(id);
-    connection->send(wire::encode_frame(MessageType::kSubmitOk,
-                                        frame.request_id, writer.buffer()));
+    const service::RequestId id = service_.submit(
+        key, request->instance.view(), request->solver, options);
+    connection->send(submit_ok_frame(frame.request_id, id));
   } catch (const std::invalid_argument& e) {
     connection->send(
         error_frame(frame.request_id, ErrorKind::kInvalidArgument, e.what()));
@@ -212,10 +231,10 @@ void ServiceServer::process_get(const EventConnectionPtr& connection,
 }
 
 void ServiceServer::process(const EventConnectionPtr& connection,
-                            wire::Frame& frame) {
+                            const wire::Frame& frame, const Fingerprint& key) {
   switch (frame.type) {
     case MessageType::kSubmit:
-      process_submit(connection, frame);
+      process_submit(connection, frame, key);
       break;
     case MessageType::kStats: {
       wire::Writer writer;

@@ -7,10 +7,15 @@
 /// non-blocking get is a claim plus a report encode, and a BLOCKING get
 /// parks a completion watcher on the service (AuctionService::watch)
 /// instead of a thread, fired inline when the request already completed.
-/// Submits, stats, telemetry and shutdown frames go to a small request
+/// Repeat submits are answered there too: the loop digests the payload
+/// bytes into the request's wire key (AuctionService::wire_key) and, when
+/// the result cache holds it, completes the request and acks it without
+/// decoding anything (AuctionService::submit_cached). Cache-missing
+/// submits, stats, telemetry and shutdown frames go to a small request
 /// pump (worker threads), because decoding a submit's instance is the
-/// expensive step. A connection may have any number of submits and gets
-/// in flight, answered out of order by wire request id.
+/// expensive step; the pump submits a decoded miss under its wire key. A
+/// connection may have any number of submits and gets in flight, answered
+/// out of order by wire request id.
 ///
 /// Error passthrough: solver/domain failures stay INSIDE SolveReport::
 /// error (already "<solver-key>: <reason>"-pinned) and travel as normal
@@ -42,10 +47,10 @@ struct ServiceServerOptions {
   service::ServiceOptions service;
   /// Loopback port to listen on; 0 picks an ephemeral port (port()).
   std::uint16_t port = 0;
-  /// Request-pump worker threads decoding/answering every frame but gets
-  /// off the loop thread (clamped to >= 1). Submit decoding is the
-  /// expensive step; more pumps let one connection's pipelined submits
-  /// decode in parallel.
+  /// Request-pump worker threads answering, off the loop thread, every
+  /// frame but gets and cache-hit submits (clamped to >= 1). Decoding a
+  /// cache-missing submit is the expensive step; more pumps let one
+  /// connection's pipelined misses decode in parallel.
   int pump_threads = 3;
 };
 
@@ -77,9 +82,11 @@ class ServiceServer {
   struct Pump;
 
   void handle_frame(const EventConnectionPtr& connection, wire::Frame frame);
-  void process(const EventConnectionPtr& connection, wire::Frame& frame);
+  /// Pump side; \p key is the wire key of a kSubmit.
+  void process(const EventConnectionPtr& connection, const wire::Frame& frame,
+               const Fingerprint& key);
   void process_submit(const EventConnectionPtr& connection,
-                      const wire::Frame& frame);
+                      const wire::Frame& frame, const Fingerprint& key);
   void process_get(const EventConnectionPtr& connection,
                    const wire::Frame& frame);
   /// Shutdown initiation usable FROM a pump thread (no joins): flags the

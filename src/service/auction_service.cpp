@@ -54,7 +54,23 @@ void mix_options(FingerprintHasher& hasher, const SolveOptions& options) {
   // they do not enter the key.
 }
 
+/// The shard that owns \p key: equal keys always meet one shard.
+std::size_t shard_index(const Fingerprint& key, std::size_t shards) {
+  return static_cast<std::size_t>(key.hi % static_cast<std::uint64_t>(shards));
+}
+
 }  // namespace
+
+/// Span sampling (ServiceOptions::span_sample_every): when `traced`, the
+/// request records its span tree and latencies. `inbound` is the caller's
+/// span context -- the service mints a fresh trace when the caller sent
+/// none -- and `start_unix` the submit wall-clock time (span timestamps
+/// are wall clock; durations stay steady-clock measured).
+struct AuctionService::SpanSample {
+  bool traced = false;
+  obs::SpanContext inbound;
+  double start_unix = 0.0;
+};
 
 /// One queued/completed request. Owns a copy of the instance: the service
 /// outlives the caller's stack frame, so views would dangle.
@@ -74,15 +90,7 @@ struct AuctionService::Request {
   /// Admission verdict, written under the shard lock before the worker
   /// task can observe the request.
   Admission admission = Admission::kAccepted;
-  /// Span sampling (ServiceOptions::span_sample_every): when set, this
-  /// request records its span tree and latencies. `inbound` is the
-  /// caller's span context -- the service mints a fresh trace when the
-  /// caller sent none -- and `start_unix` the submit wall-clock time
-  /// (span timestamps are wall clock; durations stay steady-clock
-  /// measured).
-  bool traced = false;
-  obs::SpanContext inbound;
-  double start_unix = 0.0;
+  SpanSample span;
 
   [[nodiscard]] AnyInstance view() const {
     if (const auto* sym = std::get_if<AuctionInstance>(&instance)) {
@@ -184,6 +192,8 @@ AuctionService::AuctionService(ServiceOptions options)
         scheduler_options, options_.cache_bytes_per_shard,
         options_.basis_cache_entries_per_shard));
   }
+  wire_seed_.mix(std::string_view("wire-submit"));
+  wire_seed_.mix(std::string_view(policy_->name()));
   if (!options_.snapshot_path.empty()) restore_snapshot();
 }
 
@@ -218,8 +228,7 @@ void AuctionService::restore_snapshot() {
       // Re-route by the CURRENT shard count -- the snapshot may come from
       // a different layout; what must match submit's routing is the
       // modulus.
-      Shard& shard = *shards_[static_cast<std::size_t>(
-          entry.key.hi % static_cast<std::uint64_t>(shards_.size()))];
+      Shard& shard = *shards_[shard_index(entry.key, shards_.size())];
       const std::lock_guard<std::mutex> lock(shard.mutex);
       shard.cache.insert(entry.key, entry.report);
     }
@@ -282,6 +291,84 @@ bool AuctionService::save_snapshot(const std::string& path) const {
 RequestId AuctionService::submit(const AnyInstance& instance,
                                  const std::string& solver,
                                  const SolveOptions& options) {
+  // Canonical request fingerprint: instance content + policy + request key
+  // + result-relevant options. Routing by the key keeps equal requests on
+  // one shard, which is what makes the per-shard caches and the in-flight
+  // coalescing table effective without any cross-shard coordination.
+  FingerprintHasher hasher;
+  const Fingerprint instance_fp = fingerprint(instance);
+  hasher.mix(instance_fp.hi);
+  hasher.mix(instance_fp.lo);
+  hasher.mix(std::string_view(policy_->name()));
+  hasher.mix(std::string_view(solver));
+  mix_options(hasher, options);
+  return submit(hasher.digest(), instance, solver, options);
+}
+
+Fingerprint AuctionService::wire_key(std::string_view payload) const noexcept {
+  FingerprintHasher hasher = wire_seed_;
+  hasher.mix(payload);
+  return hasher.digest();
+}
+
+AuctionService::SpanSample AuctionService::sample_span(
+    std::uint64_t sequence, const obs::SpanContext& context) const {
+  // The sampled request carries the caller's span context (TcpClient/
+  // FrontDoor stamp the wire envelope; LocalClient passes it through
+  // SolveOptions) or mints a fresh trace when untraced.
+  SpanSample span;
+  if (options_.span_sample_every != 0 &&
+      sequence % options_.span_sample_every == 0) {
+    span.traced = true;
+    span.inbound = context.traced() ? context
+                                    : obs::SpanContext{obs::next_trace_id(), 0};
+    span.start_unix = obs::unix_now_seconds();
+  }
+  return span;
+}
+
+void AuctionService::complete_from_cache(Shard& shard, RequestId id,
+                                         SolveReport report,
+                                         const SpanSample& span) {
+  // Served from cache: bitwise the originating run's payload; only the
+  // provenance/timing fields are fresh. wall_time_seconds stays the
+  // originating run's (it documents what the result cost to compute).
+  report.cache_hit = true;
+  report.queue_wait_seconds = 0.0;
+  shard.completed.emplace(id, std::move(report));
+  submitted_.add();
+  cache_hits_.add();
+  completed_.add();
+  if (span.traced) {
+    registry_.spans().record(obs::SpanRecord{
+        span.inbound.trace_id, obs::next_span_id(),
+        span.inbound.parent_span_id, "service/cache_hit", "",
+        span.start_unix, 0.0});
+  }
+  shard.completed_cv.notify_all();
+}
+
+std::optional<RequestId> AuctionService::submit_cached(
+    const Fingerprint& key, const obs::SpanContext& context) {
+  if (!accepting_.load()) return std::nullopt;
+  const std::size_t index = shard_index(key, shards_.size());
+  Shard& shard = *shards_[index];
+  const std::lock_guard<std::mutex> lock(shard.mutex);
+  std::optional<SolveReport> cached = shard.cache.lookup(key);
+  if (!cached) return std::nullopt;
+  // A sequence is drawn only for a hit: a miss the caller then submits in
+  // full draws exactly one, like any other request.
+  const std::uint64_t sequence = next_sequence_.fetch_add(1);
+  const RequestId id = (sequence << kShardBits) | index;
+  complete_from_cache(shard, id, std::move(*cached),
+                      sample_span(sequence, context));
+  return id;
+}
+
+RequestId AuctionService::submit(const Fingerprint& key,
+                                 const AnyInstance& instance,
+                                 const std::string& solver,
+                                 const SolveOptions& options) {
   if (!accepting_.load()) {
     throw std::runtime_error("AuctionService::submit: service shut down");
   }
@@ -297,43 +384,19 @@ RequestId AuctionService::submit(const AnyInstance& instance,
   }
   request->solver = solver;
   request->options = options;
-
-  // Canonical request fingerprint: instance content + policy + request key
-  // + result-relevant options. Routing by the key keeps equal requests on
-  // one shard, which is what makes the per-shard caches and the in-flight
-  // coalescing table effective without any cross-shard coordination.
-  FingerprintHasher hasher;
-  const Fingerprint instance_fp = fingerprint(request->view());
-  hasher.mix(instance_fp.hi);
-  hasher.mix(instance_fp.lo);
-  hasher.mix(std::string_view(policy_->name()));
-  hasher.mix(std::string_view(request->solver));
-  mix_options(hasher, request->options);
-  request->key = hasher.digest();
+  request->key = key;
   // Basis-cache key: structure only, so the thousands of value-perturbed
   // variants of one auction round map to a single warm-start slot.
   request->structural_key = structural_fingerprint(request->view()).hex();
 
-  const std::size_t shard_index = static_cast<std::size_t>(
-      request->key.hi % static_cast<std::uint64_t>(shards_.size()));
-  Shard& shard = *shards_[shard_index];
+  const std::size_t index = shard_index(key, shards_.size());
+  Shard& shard = *shards_[index];
   const std::uint64_t sequence = next_sequence_.fetch_add(1);
-  const RequestId id = (sequence << kShardBits) | shard_index;
+  const RequestId id = (sequence << kShardBits) | index;
   // submitted_ ticks in every terminal branch below rather than here: the
   // registry Counter is monotonic (no fetch_sub), so the lost-race-with-
   // shutdown path must simply never have counted instead of rolling back.
-
-  // Span sampling decision. The sampled request carries the caller's span
-  // context (TcpClient/FrontDoor stamp the wire envelope; LocalClient
-  // passes it through SolveOptions) or mints a fresh trace when untraced.
-  if (options_.span_sample_every != 0 &&
-      sequence % options_.span_sample_every == 0) {
-    request->traced = true;
-    request->inbound = options.span_context.traced()
-                           ? options.span_context
-                           : obs::SpanContext{obs::next_trace_id(), 0};
-    request->start_unix = obs::unix_now_seconds();
-  }
+  request->span = sample_span(sequence, options.span_context);
 
   const auto now = std::chrono::steady_clock::now();
   // The deadline resolves with the same shared-vs-section precedence the
@@ -346,22 +409,7 @@ RequestId AuctionService::submit(const AnyInstance& instance,
 
   const std::lock_guard<std::mutex> lock(shard.mutex);
   if (auto cached = shard.cache.lookup(request->key)) {
-    // Served from cache: bitwise the originating run's payload; only the
-    // provenance/timing fields are fresh. wall_time_seconds stays the
-    // originating run's (it documents what the result cost to compute).
-    cached->cache_hit = true;
-    cached->queue_wait_seconds = 0.0;
-    shard.completed.emplace(id, std::move(*cached));
-    submitted_.add();
-    cache_hits_.add();
-    completed_.add();
-    if (request->traced) {
-      registry_.spans().record(obs::SpanRecord{
-          request->inbound.trace_id, obs::next_span_id(),
-          request->inbound.parent_span_id, "service/cache_hit", "",
-          request->start_unix, 0.0});
-    }
-    shard.completed_cv.notify_all();
+    complete_from_cache(shard, id, std::move(*cached), request->span);
     return id;
   }
   if (const auto inflight = shard.inflight.find(request->key);
@@ -373,11 +421,11 @@ RequestId AuctionService::submit(const AnyInstance& instance,
     inflight->second.push_back(Shard::Follower{id, now});
     submitted_.add();
     coalesced_.add();
-    if (request->traced) {
+    if (request->span.traced) {
       registry_.spans().record(obs::SpanRecord{
-          request->inbound.trace_id, obs::next_span_id(),
-          request->inbound.parent_span_id, "service/coalesce", "",
-          request->start_unix, 0.0});
+          request->span.inbound.trace_id, obs::next_span_id(),
+          request->span.inbound.parent_span_id, "service/coalesce", "",
+          request->span.start_unix, 0.0});
     }
     return id;
   }
@@ -473,7 +521,7 @@ RequestId AuctionService::submit(const AnyInstance& instance,
           // completed table.
           const double run_wall = report.wall_time_seconds;
           std::string solve_note;
-          if (request->traced) {
+          if (request->span.traced) {
             solve_note = "solver=" + report.solver_selected;
             solve_note += " pivots=" + std::to_string(report.pivots);
             if (report.oracle_rounds > 0) {
@@ -538,23 +586,23 @@ RequestId AuctionService::submit(const AnyInstance& instance,
           // its followers never do.
           if (run_warm_started) warm_starts_.add();
           if (run_colgen_warm) colgen_warm_.add();
-          if (request->traced) {
+          if (request->span.traced) {
             // Two causally-linked spans per sampled solve: the queue wait
             // parented to the caller's span, the solver run parented to
             // the queue span. Followers are represented by their count in
             // the solve note only -- they never ran a solver.
             const std::uint64_t queue_span_id = obs::next_span_id();
             registry_.spans().record(obs::SpanRecord{
-                request->inbound.trace_id, queue_span_id,
-                request->inbound.parent_span_id, "service/queue",
+                request->span.inbound.trace_id, queue_span_id,
+                request->span.inbound.parent_span_id, "service/queue",
                 follower_count > 0
                     ? "followers=" + std::to_string(follower_count)
                     : "",
-                request->start_unix, queue_wait});
+                request->span.start_unix, queue_wait});
             registry_.spans().record(obs::SpanRecord{
-                request->inbound.trace_id, obs::next_span_id(),
+                request->span.inbound.trace_id, obs::next_span_id(),
                 queue_span_id, "service/solve", solve_note,
-                request->start_unix + queue_wait, run_wall});
+                request->span.start_unix + queue_wait, run_wall});
             queue_wait_hist_.record(queue_wait);
             solve_hist_.record(run_wall);
           }
@@ -596,11 +644,11 @@ RequestId AuctionService::submit(const AnyInstance& instance,
     shard.completed.emplace(id, std::move(report));
     admission_rejected_.add();
     completed_.add();
-    if (request->traced) {
+    if (request->span.traced) {
       registry_.spans().record(obs::SpanRecord{
-          request->inbound.trace_id, obs::next_span_id(),
-          request->inbound.parent_span_id, "service/reject", "",
-          request->start_unix, 0.0});
+          request->span.inbound.trace_id, obs::next_span_id(),
+          request->span.inbound.parent_span_id, "service/reject", "",
+          request->span.start_unix, 0.0});
     }
     shard.completed_cv.notify_all();
     return id;

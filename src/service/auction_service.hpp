@@ -14,11 +14,18 @@
 ///  1. copies the instance into the request (submit takes the usual
 ///     non-owning AnyInstance view but the service outlives its callers'
 ///     stack frames, so requests own their data);
-///  2. fingerprints the request (canonical instance hash + solver request +
-///     the result-relevant SolveOptions fields, support/fingerprint.hpp)
-///     and routes it to the shard the fingerprint selects -- equal requests
-///     always meet the same shard and therefore the same cache;
-///  3. answers from the shard's LRU result cache on a fingerprint hit
+///  2. keys the request and routes it to the shard the key selects --
+///     equal keys always meet the same shard and therefore the same
+///     cache. An in-process submit is keyed by its content fingerprint
+///     (canonical instance hash + solver request + the result-relevant
+///     SolveOptions fields, support/fingerprint.hpp). A wire submit is
+///     keyed by its payload bytes (wire_key): byte-equal payloads decode
+///     to equal requests, so that key needs no decode. Equal content in
+///     different bytes (another valuation class with the same values, a
+///     legacy peer's options) then misses and re-solves to the same
+///     payload -- a lost hit, never a wrong answer. The two key families
+///     never meet: an entry made by one transport is found only by it;
+///  3. answers from the shard's LRU result cache on a key hit
 ///     (SolveReport::cache_hit = true, allocation bitwise-equal to the
 ///     originating run), attaches to an identical request already queued or
 ///     running (coalescing, below), or enqueues it on the shard's worker
@@ -44,8 +51,9 @@
 /// content). ServiceOptions{QueuePolicy::kFifo, AdmissionPolicy::kAcceptAll}
 /// reproduces the PR-3 behavior exactly.
 ///
-/// Coalescing. Duplicate submissions of one fingerprint while the original
-/// is still queued or in flight attach to it instead of recomputing: one
+/// Coalescing. Duplicate submissions of one key (step 2: content or wire,
+/// so only duplicates through one transport meet) while the original is
+/// still queued or in flight attach to it instead of recomputing: one
 /// solver run (the leader's) completes every attached request with a
 /// bitwise-identical payload. Only the provenance differs: the leader has
 /// coalesced = false, followers have coalesced = true with
@@ -91,6 +99,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/admission.hpp"
@@ -138,6 +147,8 @@ struct ServiceOptions {
   /// Observability/test hook, called on a worker thread right before a
   /// request actually executes its solver chain -- never for cache hits,
   /// coalesced followers or rejected requests, so it counts real solves.
+  /// It receives the request key: the content fingerprint of an
+  /// in-process submit, the wire key (wire_key) of a wire submit.
   /// Must be thread-safe; a slow hook stalls that worker (tests use this
   /// deliberately to hold a leader in flight).
   std::function<void(const Fingerprint&)> on_solve;
@@ -208,6 +219,31 @@ class AuctionService {
                    const std::string& solver = kAutoSolver,
                    const SolveOptions& options = {});
 
+  /// submit under a caller-computed \p key, with the same admission,
+  /// coalescing, deadline and error contract. The key must determine the
+  /// report: equal keys share one cache entry and coalesce. The wire
+  /// server submits a decoded cache miss under its wire_key.
+  RequestId submit(const Fingerprint& key, const AnyInstance& instance,
+                   const std::string& solver, const SolveOptions& options);
+
+  /// The key of a wire submit: the digest of a fixed tag, the policy name
+  /// and the submit payload bytes (wire::encode_submit). The tag keeps it
+  /// independent of the door's route, the digest of the bare payload, so
+  /// the requests one backend receives still spread over all its shards.
+  /// The policy name keeps a snapshot restored under another policy from
+  /// serving wire hits, as it does for content keys.
+  [[nodiscard]] Fingerprint wire_key(std::string_view payload) const noexcept;
+
+  /// Cache-only submit: when \p key is cached and the service still
+  /// accepts submits, completes a new request from the cache -- a hit like
+  /// submit's, counters and sampled span included -- and returns its id.
+  /// Otherwise returns nullopt and changes nothing. It never decodes,
+  /// queues or waits for anything but the shard lock, so a wire server's
+  /// loop thread tries it for every submit. \p context is the caller's
+  /// span context.
+  [[nodiscard]] std::optional<RequestId> submit_cached(
+      const Fingerprint& key, const obs::SpanContext& context);
+
   /// Blocks until \p id completes and claims its report (each id can be
   /// claimed once; a second claim throws std::invalid_argument).
   [[nodiscard]] SolveReport get(RequestId id);
@@ -269,14 +305,22 @@ class AuctionService {
  private:
   struct Shard;
   struct Request;
+  struct SpanSample;
 
   [[nodiscard]] Shard& shard_of(RequestId id) const;
+  [[nodiscard]] SpanSample sample_span(std::uint64_t sequence,
+                                       const obs::SpanContext& context) const;
+  /// Completes \p id with the cached \p report; requires shard.mutex held.
+  void complete_from_cache(Shard& shard, RequestId id, SolveReport report,
+                           const SpanSample& span);
   [[nodiscard]] SolveReport execute(const Request& request,
                                     const SolveOptions& options);
   void restore_snapshot();
 
   ServiceOptions options_;
   SelectionPolicyPtr policy_;
+  /// wire_key's hasher after the tag and the policy name.
+  FingerprintHasher wire_seed_;
   /// Declared before the shards: shard schedulers hold instrument handles
   /// into it, and before the counter references below.
   mutable obs::Registry registry_;

@@ -1,8 +1,13 @@
 #pragma once
 /// \file result_cache.hpp
-/// Per-shard LRU result cache of the AuctionService, keyed by the canonical
-/// request fingerprint (instance content + solver request + options, see
-/// support/fingerprint.hpp). Each shard owns one ResultCache guarded by the
+/// Per-shard LRU result cache of the AuctionService, keyed by the request
+/// key: the canonical content fingerprint of an in-process submit
+/// (instance content + solver request + options, see
+/// support/fingerprint.hpp) or the wire key of a wire submit (the digest
+/// of its payload bytes, AuctionService::wire_key). So a wire backend's
+/// snapshot holds wire keys and an in-process service's snapshot holds
+/// content keys; each is hit only by its own transport. Each shard owns
+/// one ResultCache guarded by the
 /// shard's own mutex, so cache traffic never takes a service-global lock.
 /// Eviction is by byte budget: every stored SolveReport is costed with
 /// estimated_report_bytes and least-recently-used entries are dropped until
@@ -19,7 +24,7 @@
 /// envelope. Readers treat ANY anomaly (wrong magic, other version,
 /// truncation, implausible sizes) as "no snapshot" and return nullopt, so
 /// a corrupt file costs a cold start, never a crash. Bump kSnapshotVersion
-/// whenever the serialized SolveReport layout or the fingerprint scheme
+/// whenever the serialized SolveReport layout or either key scheme
 /// changes (tests/test_fingerprint.cpp pins golden fingerprint values and
 /// tests/test_wire.cpp pins golden report bytes, so silent drift of either
 /// fails loudly).
@@ -57,8 +62,9 @@ class ResultCache {
   /// Schema version of the snapshot files; see the file comment for when
   /// to bump it. History: 2 added SolveReport::warm_started/pivots to the
   /// shared report codec; 3 added SolveReport::oracle_rounds/
-  /// columns_generated.
-  static constexpr std::uint32_t kSnapshotVersion = 3;
+  /// columns_generated; 4 keyed wire submits by their payload bytes, so a
+  /// wire backend's version-3 snapshot (content keys) could never hit.
+  static constexpr std::uint32_t kSnapshotVersion = 4;
 
   /// \p byte_budget 0 disables caching entirely (every lookup misses).
   explicit ResultCache(std::size_t byte_budget) : byte_budget_(byte_budget) {}

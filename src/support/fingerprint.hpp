@@ -20,11 +20,15 @@
 /// STABILITY: fingerprints are persisted -- they are the keys of the
 /// result-cache snapshot files (service/result_cache.hpp), so the hashing
 /// scheme is load-bearing across process restarts, not just within one
-/// run. Any change to the mixing constants, the field order, or the
-/// sampling scheme MUST bump ResultCache::kSnapshotVersion so old
-/// snapshots are discarded as a cold start instead of silently never
-/// hitting. tests/test_fingerprint.cpp pins golden fingerprint values to
-/// make accidental drift fail loudly.
+/// run. An in-process service's snapshot holds content keys built from
+/// fingerprint(); a wire backend's holds wire keys, FingerprintHasher
+/// digests of the submit payload bytes (AuctionService::wire_key). Any
+/// change to the mixing constants, the field order, the sampling scheme,
+/// the byte mixing or which key a transport uses MUST bump
+/// ResultCache::kSnapshotVersion so old snapshots are discarded as a cold
+/// start instead of silently never hitting. tests/test_fingerprint.cpp
+/// pins golden fingerprint values and the byte digest to make accidental
+/// drift fail loudly.
 
 #include <cstdint>
 #include <string>

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "gen/scenario.hpp"
@@ -239,6 +241,46 @@ TEST(Fingerprint, GoldenValuesPinTheOnDiskKeyFormat) {
   hasher.mix(1.5);
   hasher.mix(std::string_view("spectrum"));
   EXPECT_EQ(hasher.digest().hex(), "6899486d0b84e466edca37da00dd05de");
+}
+
+/// Byte-at-a-time reference of FingerprintHasher::mix(std::string_view):
+/// the size as one word, then every 8 bytes as one big-endian word, then
+/// the 1-7 bytes left over as one short big-endian word (no padding).
+Fingerprint reference_byte_digest(std::string_view bytes) {
+  FingerprintHasher hasher;
+  hasher.mix(std::uint64_t{bytes.size()});
+  for (std::size_t at = 0; at < bytes.size(); at += 8) {
+    std::uint64_t word = 0;
+    for (std::size_t i = at; i < bytes.size() && i < at + 8; ++i) {
+      word = (word << 8) | static_cast<unsigned char>(bytes[i]);
+    }
+    hasher.mix(word);
+  }
+  return hasher.digest();
+}
+
+TEST(Fingerprint, ByteDigestMatchesAByteAtATimeReference) {
+  // The door routes a submit by the digest of its payload bytes and the
+  // backend keys its result cache by it (service/auction_service.hpp), so
+  // the byte mixing is persisted in wire backends' snapshots. Bytes of
+  // every value, high bit included, over every short-word length and one
+  // payload-sized string.
+  std::string bytes(14 * 1024, '\0');
+  std::uint64_t state = 0x5eed;
+  for (char& byte : bytes) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    byte = static_cast<char>(state >> 56);
+  }
+  for (std::size_t length = 0; length <= 17; ++length) {
+    const std::string_view prefix(bytes.data(), length);
+    FingerprintHasher hasher;
+    hasher.mix(prefix);
+    EXPECT_EQ(hasher.digest(), reference_byte_digest(prefix))
+        << "length " << length;
+  }
+  FingerprintHasher hasher;
+  hasher.mix(std::string_view(bytes));
+  EXPECT_EQ(hasher.digest(), reference_byte_digest(bytes));
 }
 
 TEST(Fingerprint, HasherExtensionsAreOrderSensitive) {

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <set>
@@ -162,6 +163,171 @@ TEST(ServiceServerTest, TryGetPollsAcrossTheWire) {
   while (!report) report = remote.try_get(id);
   EXPECT_TRUE(report->error.empty());
   remote.shutdown();
+}
+
+// ------------------------------------------------------------- wire keys
+
+/// Submits a pre-encoded payload over a raw connection and returns the
+/// backend's request id.
+client::RequestId submit_payload(net::MuxConnection& mux,
+                                 const std::string& payload) {
+  const wire::Frame ack = mux.call_sync(wire::MessageType::kSubmit, payload);
+  EXPECT_EQ(ack.type, wire::MessageType::kSubmitOk);
+  wire::Reader reader(ack.payload);
+  return reader.u64();
+}
+
+/// Blocking get of \p id over a raw connection.
+SolveReport get_report(net::MuxConnection& mux, client::RequestId id) {
+  wire::Writer request;
+  request.u64(id);
+  request.boolean(true);
+  const wire::Frame frame =
+      mux.call_sync(wire::MessageType::kGet, request.buffer());
+  EXPECT_EQ(frame.type, wire::MessageType::kReport);
+  wire::Reader reader(frame.payload);
+  EXPECT_EQ(reader.u8(), 1);
+  return wire::read_report(reader);
+}
+
+/// Payload equality up to the cache-hit provenance flag.
+bool same_answer(SolveReport a, SolveReport b) {
+  a.cache_hit = false;
+  b.cache_hit = false;
+  return wire::reports_payload_equal(a, b);
+}
+
+TEST(ServiceServerTest, EqualContentInOtherBytesMissesTheWireKey) {
+  // The backend keys a wire submit by its payload bytes, which is finer
+  // than the content key: the same request with a nonzero retired
+  // thread-count slot (what a peer built before the slot was retired
+  // sends; test_wire's LegacyThreadCountIsReadAndDropped) decodes to the
+  // same options, yet misses the cache and re-solves to the same payload.
+  net::ServiceServer server({small_service(), 0});
+  const AuctionInstance instance =
+      gen::make_disk_auction(8, 2, gen::ValuationMix::kMixed, 41);
+  const SolveOptions options = stream_options();
+  const std::string solver = client::kAutoSolver;
+  const std::string canonical =
+      wire::encode_submit(instance, solver, options);
+  // The options block follows the solver string (u64 length + bytes); the
+  // retired u32 slot sits after its u64 seed and f64 time budget.
+  std::string legacy = canonical;
+  const std::size_t slot = 8 + solver.size() + 16;
+  ASSERT_EQ(legacy.substr(slot, 4), std::string(4, '\0'));
+  legacy[slot] = 3;
+  ASSERT_TRUE(wire::decode_submit(legacy).has_value());
+
+  net::MuxConnection mux(net::kLoopbackHost, server.port());
+  const SolveReport first = get_report(mux, submit_payload(mux, canonical));
+  const SolveReport repeat = get_report(mux, submit_payload(mux, canonical));
+  const SolveReport other = get_report(mux, submit_payload(mux, legacy));
+  ASSERT_TRUE(first.error.empty()) << first.error;
+  EXPECT_FALSE(first.cache_hit);
+  EXPECT_TRUE(repeat.cache_hit);
+  EXPECT_TRUE(wire::reports_payload_equal(first, other));
+  EXPECT_FALSE(other.cache_hit);
+  mux.close();
+}
+
+TEST(ServiceServerTest, LoopThreadHitTicksEachCounterOnce) {
+  // perfbench's hot-door identity check reads these counters: a cache hit
+  // answered on the loop thread counts as one submitted, one cache hit
+  // and one completed request, and runs no solver.
+  std::atomic<int> solves{0};
+  service::ServiceOptions config = small_service();
+  config.on_solve = [&](const Fingerprint&) { solves.fetch_add(1); };
+  net::ServiceServer server({config, 0});
+  TcpClient remote(server.port());
+  const AuctionInstance instance =
+      gen::make_disk_auction(8, 2, gen::ValuationMix::kMixed, 43);
+  const SolveReport solved = remote.get(remote.submit(instance));
+  ASSERT_TRUE(solved.error.empty()) << solved.error;
+  EXPECT_FALSE(solved.cache_hit);
+  ASSERT_EQ(solves.load(), 1);
+
+  const service::ServiceStats before = server.service().stats();
+  const SolveReport hit = remote.get(remote.submit(instance));
+  const service::ServiceStats after = server.service().stats();
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_TRUE(same_answer(solved, hit));
+  EXPECT_EQ(after.submitted - before.submitted, 1u);
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 1u);
+  EXPECT_EQ(after.completed - before.completed, 1u);
+  EXPECT_EQ(solves.load(), 1);
+  remote.shutdown();
+}
+
+TEST(ServiceServerTest, CachedSubmitAfterShutdownThrowsOnAnOpenConnection) {
+  // A wire kShutdown closes only the connection that sent it; the others
+  // are still served. A repeat submit on one of them must fail like an
+  // in-process submit after shutdown(), although its wire key is cached.
+  net::ServiceServer server({small_service(), 0});
+  TcpClient remote(server.port());
+  TcpClient other(server.port());
+  const AuctionInstance instance =
+      gen::make_disk_auction(8, 2, gen::ValuationMix::kMixed, 45);
+  const SolveReport solved = other.get(other.submit(instance));
+  ASSERT_TRUE(solved.error.empty()) << solved.error;
+  EXPECT_TRUE(other.get(other.submit(instance)).cache_hit);
+  remote.shutdown();
+  EXPECT_THROW((void)other.submit(instance), std::runtime_error);
+}
+
+/// The default policy under another name(): same chains, other keys.
+class RenamedPolicy final : public service::SelectionPolicy {
+ public:
+  [[nodiscard]] std::string name() const override { return "renamed"; }
+  [[nodiscard]] std::vector<std::string> chain(
+      const std::string& requested, const AnyInstance& instance,
+      const SolveOptions& options) const override {
+    return inner_.chain(requested, instance, options);
+  }
+
+ private:
+  service::DefaultSelectionPolicy inner_;
+};
+
+TEST(ServiceServerTest, SnapshotServesWireHitsAfterARestart) {
+  // A backend's snapshot holds wire keys: the restarted backend answers
+  // the same payload from the restored cache, while a backend restarted
+  // under a policy of another name() solves it afresh.
+  const std::string path = "test_net_wire_snapshot.bin";
+  std::remove(path.c_str());
+  const AuctionInstance instance =
+      gen::make_disk_auction(8, 2, gen::ValuationMix::kMixed, 47);
+  std::atomic<int> solves{0};
+  const auto serve = [&](service::SelectionPolicyPtr policy) {
+    service::ServiceOptions config = small_service();
+    config.snapshot_path = path;
+    config.policy = std::move(policy);
+    config.on_solve = [&](const Fingerprint&) { solves.fetch_add(1); };
+    net::ServiceServer server({config, 0});
+    TcpClient remote(server.port());
+    const std::uint64_t restored = server.service().stats().snapshot_restored;
+    SolveReport report = remote.get(remote.submit(instance));
+    remote.shutdown();  // drains and writes the snapshot
+    return std::make_pair(restored, std::move(report));
+  };
+
+  const auto [none, solved] = serve(nullptr);
+  ASSERT_TRUE(solved.error.empty()) << solved.error;
+  EXPECT_EQ(none, 0u);
+  EXPECT_FALSE(solved.cache_hit);
+  EXPECT_EQ(solves.exchange(0), 1);
+
+  const auto [restored, replayed] = serve(nullptr);
+  EXPECT_EQ(restored, 1u);
+  EXPECT_TRUE(replayed.cache_hit);
+  EXPECT_TRUE(same_answer(solved, replayed));
+  EXPECT_EQ(solves.exchange(0), 0);
+
+  const auto [kept, resolved] = serve(std::make_shared<RenamedPolicy>());
+  EXPECT_EQ(kept, 1u);
+  EXPECT_FALSE(resolved.cache_hit);
+  EXPECT_TRUE(wire::reports_payload_equal(solved, resolved));
+  EXPECT_EQ(solves.load(), 1);
+  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------- multiplexed wire

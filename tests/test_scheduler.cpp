@@ -58,11 +58,11 @@ TEST(SolveScheduler, DeadlineOrderWithFifoTieBreak) {
   };
   scheduler.submit(tracer(10));  // unlimited
   scheduler.submit(tracer(11));  // unlimited
-  EXPECT_EQ(scheduler.submit(tracer(20), TaskOptions{5.0}),
+  EXPECT_EQ(scheduler.submit(tracer(20), TaskOptions{5.0, {}}),
             Admission::kAccepted);
-  EXPECT_EQ(scheduler.submit(tracer(30), TaskOptions{1.0}),
+  EXPECT_EQ(scheduler.submit(tracer(30), TaskOptions{1.0, {}}),
             Admission::kAccepted);
-  EXPECT_EQ(scheduler.submit(tracer(21), TaskOptions{5.0}),
+  EXPECT_EQ(scheduler.submit(tracer(21), TaskOptions{5.0, {}}),
             Admission::kAccepted);
   gate.release();
   scheduler.drain();
@@ -87,7 +87,7 @@ TEST(SolveScheduler, FifoPolicyIgnoresDeadlines) {
     };
   };
   scheduler.submit(tracer(0));
-  (void)scheduler.submit(tracer(1), TaskOptions{1e-3});  // tight, still last
+  (void)scheduler.submit(tracer(1), TaskOptions{1e-3, {}});  // tight, still last
   gate.release();
   scheduler.drain();
 
@@ -118,13 +118,13 @@ TEST(SolveScheduler, RejectPolicyDropsUnmeetableDeadlines) {
   // must never run under kReject.
   bool ran = false;
   EXPECT_EQ(scheduler.submit([&ran](double) { ran = true; },
-                             TaskOptions{1e-3}),
+                             TaskOptions{1e-3, {}}),
             Admission::kRejected);
   // An unlimited task is always admitted, whatever the queue looks like.
-  EXPECT_EQ(scheduler.submit([](double) {}, TaskOptions{0.0}),
+  EXPECT_EQ(scheduler.submit([](double) {}, TaskOptions{0.0, {}}),
             Admission::kAccepted);
   // A roomy budget clears the projection and is admitted too.
-  EXPECT_EQ(scheduler.submit([](double) {}, TaskOptions{60.0}),
+  EXPECT_EQ(scheduler.submit([](double) {}, TaskOptions{60.0, {}}),
             Admission::kAccepted);
 
   gate.release();
@@ -145,7 +145,7 @@ TEST(SolveScheduler, DegradePolicyStillRunsTheTask) {
 
   bool ran = false;
   EXPECT_EQ(scheduler.submit([&ran](double) { ran = true; },
-                             TaskOptions{1e-3}),
+                             TaskOptions{1e-3, {}}),
             Admission::kDegraded);
   gate.release();
   scheduler.drain();
@@ -159,7 +159,7 @@ TEST(SolveScheduler, AcceptAllNeverRejects) {
   WorkerGate gate;
   gate.block_worker(scheduler);
   for (int i = 0; i < 4; ++i) scheduler.submit([](double) {});
-  EXPECT_EQ(scheduler.submit([](double) {}, TaskOptions{1e-3}),
+  EXPECT_EQ(scheduler.submit([](double) {}, TaskOptions{1e-3, {}}),
             Admission::kAccepted);
   gate.release();
   scheduler.drain();
