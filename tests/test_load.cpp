@@ -175,6 +175,42 @@ TEST(LoadTrace, FileRoundTripReplaysToIdenticalRequestFingerprints) {
   }
 }
 
+/// Digest of the fingerprints of variants 0 .. \p variants - 1 of every
+/// scenario of \p spec's pool, in (scenario, variant) order.
+std::string pool_digest(const TraceSpec& spec, std::uint32_t variants) {
+  ScenarioPool pool(spec);
+  FingerprintHasher hasher;
+  for (std::uint32_t s = 0; s < spec.pool_size; ++s) {
+    for (std::uint32_t v = 0; v < variants; ++v) {
+      const Fingerprint fp = fingerprint(pool.instance(s, v).view());
+      hasher.mix(fp.hi);
+      hasher.mix(fp.lo);
+    }
+  }
+  return hasher.digest().hex();
+}
+
+TEST(LoadWorkload, PoolFingerprintsArePinned) {
+  // Two pools other suites build on: perfbench's hot-door pool
+  // (kHotPoolSeed, 16 scenarios, n = 12, k = 2; base scenarios only) and
+  // test_lp's churn pool (seed 23, 5 scenarios x variants 0-3, n = 14,
+  // k = 3). Any drift in the generators, the derived seeds or the variant
+  // draw changes what those suites measure, so it must fail here.
+  TraceSpec hot;
+  hot.seed = 0x40bd00c5;
+  hot.pool_size = 16;
+  hot.bidders = 12;
+  hot.channels = 2;
+  EXPECT_EQ(pool_digest(hot, 1), "37d087dd92422e742c3cebcf722aadb6");
+
+  TraceSpec churn;
+  churn.seed = 23;
+  churn.pool_size = 5;
+  churn.bidders = 14;
+  churn.channels = 3;
+  EXPECT_EQ(pool_digest(churn, 4), "c63872a28b8027a7d7a134e163b69762");
+}
+
 TEST(LoadWorkload, ChurnVariantsAreNearDuplicatesWithDistinctFingerprints) {
   TraceSpec spec = golden_spec();
   spec.pool_size = 5;  // one instance of each generator family
