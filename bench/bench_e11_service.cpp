@@ -1,12 +1,12 @@
 // Experiment E11: the long-lived AuctionService under three lenses.
 //
 // E11a (throughput): a fixed stream of requests (distinct scenarios from
-// the load harness's deterministic pool, load::ScenarioPool, each
-// recurring after a cache-warming first rotation) is pushed through
-// service configurations of increasing
-// concurrency; the series reports sustained requests/sec and the cache hit
-// rate. The welfare column doubles as a cross-configuration invariant:
-// results must not depend on the shard/worker layout.
+// the deterministic scenario pool, load::ScenarioPool, each recurring
+// after a cache-warming first rotation) is pushed through service
+// configurations of increasing concurrency; the series reports sustained
+// requests/sec and the cache hit rate. The welfare column doubles as a
+// cross-configuration invariant: results must not depend on the
+// shard/worker layout.
 //
 // E11b (deadline mix): a burst of distinct requests with alternating tight
 // and loose time budgets through one worker, once under the FIFO baseline
@@ -68,10 +68,9 @@ int workers_from_env() {
   return env == nullptr ? 1 : std::max(1, std::atoi(env));
 }
 
-/// The benchmark workload: 20 distinct scenarios from the load harness's
-/// deterministic pool (load::ScenarioPool cycles the five generator
-/// families per derived seed), so the mixed-stream definition lives in
-/// the same spec vocabulary E13's soak traces replay.
+/// The benchmark workload: 20 distinct scenarios from the deterministic
+/// scenario pool (load::ScenarioPool cycles the five generator families
+/// per derived seed).
 std::vector<gen::NamedInstance> make_scenarios() {
   load::TraceSpec spec;
   spec.seed = 4200;

@@ -9,12 +9,11 @@
 // service processes (see front_door_demo.cpp).
 //
 // The stream interleaves 200 requests over a rotating set of 25 distinct
-// scenarios from the load harness's deterministic pool
-// (load::ScenarioPool: disk/random-graph/clique symmetric auctions and
-// Section-6 asymmetric instances), so each instance recurs 8 times: the
-// first submission computes, the other 7 hit the cache with bitwise-equal
-// allocations. For sustained trace-driven load against the same API, see
-// bench_e13_soak.cpp (load::generate_trace + load::run_trace).
+// scenarios from the deterministic scenario pool (load::ScenarioPool:
+// disk/random-graph/clique symmetric auctions and Section-6 asymmetric
+// instances), so each instance recurs 8 times: the first submission
+// computes, the other 7 hit the cache with bitwise-equal allocations. For
+// sustained open-loop load on the serving stack, see perfbench/README.md.
 //
 // Build & run:  ./example_service_demo [--telemetry]
 //   --telemetry   additionally print the service's registry snapshot
@@ -47,7 +46,7 @@ int main(int argc, char** argv) {
   client::LocalClient client(config);
 
   // 25 distinct scenarios (a rotating daily workload), streamed 8x each:
-  // the load harness's pool cycles disk, random-graph and clique
+  // the scenario pool cycles disk, random-graph and clique
   // symmetric auctions plus random and hardness asymmetric instances,
   // all derived deterministically from the spec seed.
   load::TraceSpec workload;

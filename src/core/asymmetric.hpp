@@ -78,7 +78,7 @@ class AsymmetricInstance {
   [[nodiscard]] bool unweighted() const noexcept { return unweighted_; }
 
   /// A copy with bidder \p v's valuation replaced (mechanism experiments,
-  /// churn variants in the load harness) -- the asymmetric counterpart of
+  /// load::ScenarioPool's churn variants) -- the asymmetric counterpart of
   /// AuctionInstance::with_valuation.
   [[nodiscard]] AsymmetricInstance with_valuation(std::size_t v,
                                                   ValuationPtr valuation) const;

@@ -32,6 +32,9 @@ ScenarioPool::ScenarioPool(const TraceSpec& spec) : spec_(spec) {
   if (spec_.pool_size == 0) {
     throw std::invalid_argument("load: pool needs at least one scenario");
   }
+  if (spec_.bidders < 2) {
+    throw std::invalid_argument("load: pool needs at least two bidders");
+  }
   base_.reserve(spec_.pool_size);
   for (std::uint32_t i = 0; i < spec_.pool_size; ++i) {
     base_.push_back(make_base(i));
@@ -99,17 +102,6 @@ const gen::NamedInstance& ScenarioPool::instance(std::uint32_t scenario,
     it = variants_.emplace(key, make_variant(scenario, variant)).first;
   }
   return it->second;
-}
-
-void ScenarioPool::materialize(const Trace& trace) {
-  for (const TraceEvent& event : trace.events) {
-    (void)instance(event.scenario, event.variant);
-  }
-}
-
-AnyInstance ScenarioPool::view(const TraceEvent& event) const {
-  if (event.variant == 0) return base_.at(event.scenario).view();
-  return variants_.at(variant_key(event.scenario, event.variant)).view();
 }
 
 }  // namespace ssa::load

@@ -1,16 +1,15 @@
 #pragma once
 /// \file workload.hpp
-/// Materializes the instances a trace references: ScenarioPool turns the
-/// pool coordinates of a TraceEvent -- (scenario, variant) -- into owned
-/// gen::NamedInstance objects the driver can submit.
+/// A deterministic pool of generated scenarios: ScenarioPool turns pool
+/// coordinates -- (scenario, variant) -- into owned gen::NamedInstance
+/// objects that benches, tests, the service demo and perfbench submit.
 ///
-/// The pool is a pure function of the TraceSpec fields that shape it
-/// (seed, pool_size, bidders, channels): base scenario i cycles through
-/// five generator families (disk, random-graph, clique, asym-random,
-/// asym-hardness) with a per-index derived seed, so any process that holds
-/// the spec -- including one that only loaded the trace file -- rebuilds
+/// The pool is a pure function of its TraceSpec (seed, pool_size, bidders,
+/// channels): base scenario i cycles through five generator families
+/// (disk, random-graph, clique, asym-random, asym-hardness) with a
+/// per-index derived seed, so any process that holds the spec rebuilds
 /// bitwise-identical instances and therefore identical request
-/// fingerprints (the replay guarantee tests/test_load.cpp pins).
+/// fingerprints (tests/test_load.cpp pins the pools other suites use).
 ///
 /// Churn variants (variant > 0) are near duplicates: the base scenario
 /// with ONE bidder's valuation resampled from the generator's mixed
@@ -19,30 +18,35 @@
 /// near-miss traffic that must MISS the fingerprint cache -- while
 /// variant 0 repeats must HIT it.
 ///
-/// Threading: construction and materialize() are single-threaded;
-/// afterwards view() is const and safe to call concurrently (the driver
-/// materializes every pair a trace uses before starting its submitters).
+/// Threading: construction and instance() are single-threaded; the
+/// instances they return are immutable, so build every pair a run needs
+/// first and share the references across threads afterwards.
 
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
 
-#include "api/any_instance.hpp"
 #include "gen/scenario.hpp"
-#include "load/trace.hpp"
 
 namespace ssa::load {
 
-/// Owned, deterministic instance pool behind a trace; see the file
-/// comment.
+/// The shape of a scenario pool. perfbench names this type, so renaming
+/// it waits for a change to the benchmark.
+struct TraceSpec {
+  std::uint64_t seed = 1;
+  std::uint32_t pool_size = 16;  ///< base scenarios (>= 1)
+  std::uint32_t bidders = 12;    ///< bidders per generated instance (>= 2)
+  std::uint32_t channels = 2;    ///< channels per generated instance (>= 1)
+};
+
+/// Owned, deterministic instance pool; see the file comment.
 class ScenarioPool {
  public:
   /// Builds every base scenario eagerly (pool_size instances). Throws
-  /// std::invalid_argument on a malformed spec (via generate-side
-  /// validation rules: pool_size >= 1, bidders >= 2, channels in range).
+  /// std::invalid_argument when pool_size is 0 or bidders is below 2; the
+  /// instance constructors reject a channel count out of their range.
   explicit ScenarioPool(const TraceSpec& spec);
 
-  [[nodiscard]] const TraceSpec& spec() const noexcept { return spec_; }
   /// Base scenarios (spec.pool_size).
   [[nodiscard]] std::size_t size() const noexcept { return base_.size(); }
 
@@ -52,15 +56,6 @@ class ScenarioPool {
   /// scenario beyond the pool.
   [[nodiscard]] const gen::NamedInstance& instance(std::uint32_t scenario,
                                                    std::uint32_t variant = 0);
-
-  /// Caches every (scenario, variant) pair \p trace references, making
-  /// subsequent view() calls hit-only (and therefore thread-safe).
-  void materialize(const Trace& trace);
-
-  /// Non-owning view for one event. Const and safe to call concurrently
-  /// AFTER the pair was materialized; throws std::out_of_range for a
-  /// variant that was not.
-  [[nodiscard]] AnyInstance view(const TraceEvent& event) const;
 
  private:
   [[nodiscard]] gen::NamedInstance make_base(std::uint32_t scenario) const;

@@ -120,9 +120,9 @@ class Gauge {
 
 /// Striped LatencyHistogram: record() takes ONE stripe's mutex (almost
 /// always uncontended -- stripes are picked by thread), snapshot() merges
-/// the stripes exactly. The histogram type is the load harness's
-/// log-bucketed LatencyHistogram verbatim, so service-side and
-/// driver-side latency distributions merge and compare on one grid.
+/// the stripes exactly. Every stripe is one log-bucketed
+/// LatencyHistogram (support/histogram.hpp), so the snapshots of every
+/// component merge and compare on one grid.
 class Histogram {
  public:
   void record(double seconds) noexcept {

@@ -36,35 +36,6 @@ void merge_sorted(std::vector<std::pair<std::string, V>>& into,
   into = std::move(out);
 }
 
-std::string json_escaped(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_double(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.9g", value);
-  return buffer;
-}
-
 }  // namespace
 
 std::uint64_t TelemetrySnapshot::counter_or(std::string_view name,
@@ -94,48 +65,6 @@ void merge(TelemetrySnapshot& into, const TelemetrySnapshot& from) {
                  return a;
                });
   into.spans.insert(into.spans.end(), from.spans.begin(), from.spans.end());
-}
-
-std::string to_json(const TelemetrySnapshot& snapshot) {
-  std::ostringstream out;
-  out << "{\"counters\": {";
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    if (i) out << ", ";
-    out << '"' << json_escaped(snapshot.counters[i].first)
-        << "\": " << snapshot.counters[i].second;
-  }
-  out << "}, \"gauges\": {";
-  for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    if (i) out << ", ";
-    out << '"' << json_escaped(snapshot.gauges[i].first)
-        << "\": " << snapshot.gauges[i].second;
-  }
-  out << "}, \"histograms\": {";
-  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    if (i) out << ", ";
-    const LatencyHistogram& h = snapshot.histograms[i].second;
-    out << '"' << json_escaped(snapshot.histograms[i].first) << "\": {"
-        << "\"count\": " << h.count() << ", \"sum\": " << json_double(h.sum())
-        << ", \"min\": " << json_double(h.min())
-        << ", \"max\": " << json_double(h.max())
-        << ", \"p50\": " << json_double(h.p50())
-        << ", \"p99\": " << json_double(h.p99())
-        << ", \"p999\": " << json_double(h.p999()) << '}';
-  }
-  out << "}, \"spans\": [";
-  for (std::size_t i = 0; i < snapshot.spans.size(); ++i) {
-    if (i) out << ", ";
-    const SpanRecord& span = snapshot.spans[i];
-    out << "{\"trace_id\": " << span.trace_id
-        << ", \"span_id\": " << span.span_id
-        << ", \"parent_span_id\": " << span.parent_span_id << ", \"name\": \""
-        << json_escaped(span.name) << "\", \"note\": \""
-        << json_escaped(span.note)
-        << "\", \"start\": " << json_double(span.start_unix_seconds)
-        << ", \"duration\": " << json_double(span.duration_seconds) << '}';
-  }
-  out << "]}";
-  return out.str();
 }
 
 std::string format(const TelemetrySnapshot& snapshot) {

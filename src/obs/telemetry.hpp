@@ -3,8 +3,8 @@
 /// The exported form of a registry: every instrument by name plus the
 /// recent spans, as plain data -- the payload of the kGetTelemetry wire
 /// frame (wire/telemetry_codec.hpp), the merge unit the FrontDoor folds
-/// across its backends, and the object the JSON exporter renders for
-/// bench artifacts and the demo --telemetry flag.
+/// across its backends, and the object format() renders for the demo
+/// --telemetry flag.
 ///
 /// Merge contract: merge(into, from) is EXACT -- counters and gauges sum
 /// by name, histograms fold bucket-for-bucket (LatencyHistogram's integer
@@ -45,11 +45,6 @@ struct TelemetrySnapshot {
 
 /// Exact accumulation of \p from into \p into (see the file comment).
 void merge(TelemetrySnapshot& into, const TelemetrySnapshot& from);
-
-/// Machine-readable JSON object: {"counters": {...}, "gauges": {...},
-/// "histograms": {name: {count, sum, min, max, p50, p99, p999}},
-/// "spans": [...]}. Deterministic field order (sorted names).
-[[nodiscard]] std::string to_json(const TelemetrySnapshot& snapshot);
 
 /// Human-readable multi-line rendering (the demos' --telemetry output):
 /// aligned name/value tables and a span-tree sketch of the most recent

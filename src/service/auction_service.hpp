@@ -180,8 +180,8 @@ struct ServiceStats {
   std::uint64_t admission_rejected = 0;
   /// Completed requests whose solver run was truncated by its time budget
   /// (SolveReport::timed_out; coalesced followers of a timed-out leader
-  /// count too -- they received the truncated payload). The load harness
-  /// reports timeout rates from this across every transport.
+  /// count too -- they received the truncated payload). stats() reports
+  /// it on every transport.
   std::uint64_t timed_out = 0;
   /// Solver runs that warm-started their LP from a banked basis
   /// (SolveReport::warm_started; leaders only -- cache hits and coalesced

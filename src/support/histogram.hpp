@@ -1,7 +1,7 @@
 #pragma once
 /// \file histogram.hpp
-/// Mergeable log-bucketed latency histogram: the telemetry primitive of the
-/// load harness (load/driver.hpp). Values are seconds on a logarithmic
+/// Mergeable log-bucketed latency histogram: the telemetry primitive behind
+/// obs::Histogram (obs/registry.hpp). Values are seconds on a logarithmic
 /// bucket grid -- kBucketsPerOctave buckets per factor of two starting at
 /// kMinSeconds -- so one fixed-size array spans nanoseconds to hours with a
 /// bounded relative quantile error (kRelativeError, ~4.5% at 8 buckets per
@@ -9,8 +9,9 @@
 ///
 /// Bucket counts are integers, so merge() is exact: merging per-thread
 /// histograms is associative and commutative bucket-for-bucket, which is
-/// what lets the open-loop driver record latencies lock-free per submitter
-/// and fold the shards afterwards without the merge order mattering.
+/// what lets obs::Histogram record into per-thread stripes and the
+/// FrontDoor fold its backends' snapshots without the merge order
+/// mattering.
 /// (The running sum_ is a double and therefore associative only up to
 /// floating-point rounding; quantiles, count, min and max never depend
 /// on it.)

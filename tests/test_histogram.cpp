@@ -1,10 +1,10 @@
-// Coverage for the load-harness telemetry histogram
-// (support/histogram.hpp): bucket-exact merge (associative and
-// commutative element-wise -- the property that lets the open-loop driver
-// fold per-thread shards in any order), quantile error bounds against the
-// exact order statistics on known distributions, and the clamping edge
-// cases (negatives, zeros, beyond-grid values). Runs under the `load`
-// ctest label.
+// Coverage for the telemetry histogram (support/histogram.hpp):
+// bucket-exact merge (associative and commutative element-wise -- the
+// property that lets obs::Histogram fold per-thread stripes and the
+// FrontDoor fold backend snapshots in any order), quantile error bounds
+// against the exact order statistics on known distributions, and the
+// clamping edge cases (negatives, zeros, beyond-grid values). Runs under
+// the `load` ctest label.
 
 #include <gtest/gtest.h>
 

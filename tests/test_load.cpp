@@ -1,178 +1,27 @@
-// Coverage for the trace-driven load harness (src/load/): deterministic
-// seeded generation with GOLDEN fingerprint pins (same spec => bitwise-
-// identical trace bytes, the load-side analogue of the cache-key pins in
-// test_fingerprint.cpp), the versioned "SSAT" codec including corruption
-// rejection, the replay guarantee (a trace written to disk rebuilds the
-// identical scenario pool and therefore identical per-request
-// fingerprints), churn near-duplicates, and the open-loop driver's
-// separation of DRIVER lateness from SERVICE latency. Runs under the
+// Coverage for the deterministic scenario pool (src/load/): the pinned
+// fingerprints of the pools other suites build on, churn near-duplicates,
+// distinct clique scenarios and the pool's spec checks. Runs under the
 // `load` ctest label.
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "client/local_client.hpp"
-#include "load/load.hpp"
+#include "load/workload.hpp"
 #include "support/fingerprint.hpp"
 
 namespace ssa::load {
 namespace {
 
-/// The golden-pinned spec: every phenomenon switched on, so the pin covers
-/// the arrival state machine, the diurnal ramp, Zipf, churn and classes.
-TraceSpec golden_spec() {
+/// A small pool shape shared by the churn and clique tests.
+TraceSpec pool_spec(std::uint32_t pool_size) {
   TraceSpec spec;
   spec.seed = 42;
-  spec.duration_seconds = 30.0;
-  spec.rate_per_second = 40.0;
-  spec.arrivals = ArrivalProcess::kOnOffBurst;
-  spec.diurnal_amplitude = 0.3;
-  spec.diurnal_period_seconds = 10.0;
-  spec.pool_size = 8;
-  spec.zipf_exponent = 1.1;
-  spec.churn_probability = 0.2;
-  spec.max_variants = 3;
-  spec.tight_fraction = 0.2;
-  spec.loose_fraction = 0.3;
+  spec.pool_size = pool_size;
   spec.bidders = 10;
   spec.channels = 2;
   return spec;
-}
-
-TEST(LoadTrace, SameSpecGeneratesBitwiseIdenticalTraces) {
-  const Trace a = generate_trace(golden_spec());
-  const Trace b = generate_trace(golden_spec());
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(encode_trace(a), encode_trace(b));
-  EXPECT_EQ(trace_fingerprint(a), trace_fingerprint(b));
-  ASSERT_FALSE(a.events.empty());
-  // Events arrive in order, within the horizon and within pool bounds.
-  double last = 0.0;
-  for (const TraceEvent& event : a.events) {
-    EXPECT_GE(event.at_seconds, last);
-    EXPECT_LE(event.at_seconds, a.spec.duration_seconds);
-    EXPECT_LT(event.scenario, a.spec.pool_size);
-    EXPECT_LE(event.variant, a.spec.max_variants);
-    last = event.at_seconds;
-  }
-}
-
-TEST(LoadTrace, GoldenFingerprintPinsTheGeneratorAndFormat) {
-  // This pin covers the generator (Rng substreams, zipf sampling, the
-  // on/off state machine, libm exp/log/sin) AND the byte format: any
-  // drift in either breaks replayability of stored traces, so it must
-  // fail loudly here and force a kTraceVersion bump + re-pin.
-  const Trace trace = generate_trace(golden_spec());
-  EXPECT_EQ(trace_fingerprint(trace).hex(),
-            "422bacbd228ae16582726a9c8ad72fe5");
-  EXPECT_EQ(trace.events.size(), 1608u);
-}
-
-TEST(LoadTrace, SpecPerturbationsChangeTheTrace) {
-  const Fingerprint base = trace_fingerprint(generate_trace(golden_spec()));
-  TraceSpec seed = golden_spec();
-  seed.seed = 43;
-  EXPECT_NE(trace_fingerprint(generate_trace(seed)), base);
-  TraceSpec rate = golden_spec();
-  rate.rate_per_second = 41.0;
-  EXPECT_NE(trace_fingerprint(generate_trace(rate)), base);
-  TraceSpec poisson = golden_spec();
-  poisson.arrivals = ArrivalProcess::kPoisson;
-  EXPECT_NE(trace_fingerprint(generate_trace(poisson)), base);
-}
-
-TEST(LoadTrace, SubstreamsAreIndependent) {
-  // Flipping churn on must not reshuffle arrival times or popularity:
-  // the generator draws each concern from its own split substream.
-  TraceSpec churnless = golden_spec();
-  churnless.churn_probability = 0.0;
-  const Trace with_churn = generate_trace(golden_spec());
-  const Trace without = generate_trace(churnless);
-  ASSERT_EQ(with_churn.events.size(), without.events.size());
-  for (std::size_t i = 0; i < with_churn.events.size(); ++i) {
-    EXPECT_EQ(with_churn.events[i].at_seconds, without.events[i].at_seconds);
-    EXPECT_EQ(with_churn.events[i].scenario, without.events[i].scenario);
-    EXPECT_EQ(with_churn.events[i].deadline, without.events[i].deadline);
-    EXPECT_EQ(without.events[i].variant, 0u);
-  }
-}
-
-TEST(LoadTrace, ZipfSkewsPopularityAndChurnProducesVariants) {
-  const Trace trace = generate_trace(golden_spec());
-  std::size_t head = 0, tail = 0, churned = 0;
-  for (const TraceEvent& event : trace.events) {
-    head += event.scenario == 0 ? 1 : 0;
-    tail += event.scenario == trace.spec.pool_size - 1 ? 1 : 0;
-    churned += event.variant > 0 ? 1 : 0;
-  }
-  EXPECT_GT(head, tail * 2) << "zipf(1.1) must skew toward scenario 0";
-  EXPECT_GT(churned, trace.events.size() / 10);
-  EXPECT_LT(churned, trace.events.size() / 2);
-}
-
-TEST(LoadTrace, RejectsMalformedSpecs) {
-  TraceSpec negative_rate = golden_spec();
-  negative_rate.rate_per_second = -1.0;
-  EXPECT_THROW((void)generate_trace(negative_rate), std::invalid_argument);
-  TraceSpec empty_pool = golden_spec();
-  empty_pool.pool_size = 0;
-  EXPECT_THROW((void)generate_trace(empty_pool), std::invalid_argument);
-  TraceSpec bad_fractions = golden_spec();
-  bad_fractions.tight_fraction = 0.8;
-  bad_fractions.loose_fraction = 0.4;
-  EXPECT_THROW((void)generate_trace(bad_fractions), std::invalid_argument);
-  TraceSpec too_many = golden_spec();
-  too_many.duration_seconds = 1e12;
-  EXPECT_THROW((void)generate_trace(too_many), std::invalid_argument);
-}
-
-TEST(LoadTrace, CodecRoundTripsAndRejectsCorruption) {
-  const Trace trace = generate_trace(golden_spec());
-  const std::string bytes = encode_trace(trace);
-  const auto decoded = decode_trace(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(*decoded, trace);
-
-  // Every strict-format anomaly must yield nullopt, never a partial trace.
-  EXPECT_FALSE(decode_trace("").has_value());
-  EXPECT_FALSE(decode_trace(bytes.substr(0, bytes.size() / 2)).has_value());
-  EXPECT_FALSE(decode_trace(bytes + "x").has_value());  // trailing garbage
-  std::string bad_magic = bytes;
-  bad_magic[0] ^= 0x01;
-  EXPECT_FALSE(decode_trace(bad_magic).has_value());
-  std::string bad_version = bytes;
-  bad_version[4] ^= 0x40;
-  EXPECT_FALSE(decode_trace(bad_version).has_value());
-  // Truncation at every prefix length of the header + first events.
-  for (std::size_t cut = 0; cut < std::min<std::size_t>(bytes.size(), 200);
-       ++cut) {
-    EXPECT_FALSE(decode_trace(bytes.substr(0, cut)).has_value());
-  }
-}
-
-TEST(LoadTrace, FileRoundTripReplaysToIdenticalRequestFingerprints) {
-  const Trace trace = generate_trace(golden_spec());
-  std::stringstream file(std::ios::in | std::ios::out | std::ios::binary);
-  write_trace(file, trace);
-  const auto reloaded = read_trace(file);
-  ASSERT_TRUE(reloaded.has_value());
-  ASSERT_EQ(*reloaded, trace);
-
-  // The replay guarantee: a process that only holds the trace FILE
-  // rebuilds the identical workload -- every event materializes to an
-  // instance with the same canonical fingerprint, so caches and routing
-  // behave identically.
-  ScenarioPool original(trace.spec);
-  ScenarioPool replayed(reloaded->spec);
-  original.materialize(trace);
-  replayed.materialize(*reloaded);
-  for (const TraceEvent& event : trace.events) {
-    EXPECT_EQ(fingerprint(original.view(event)),
-              fingerprint(replayed.view(event)));
-  }
 }
 
 /// Digest of the fingerprints of variants 0 .. \p variants - 1 of every
@@ -212,8 +61,7 @@ TEST(LoadWorkload, PoolFingerprintsArePinned) {
 }
 
 TEST(LoadWorkload, ChurnVariantsAreNearDuplicatesWithDistinctFingerprints) {
-  TraceSpec spec = golden_spec();
-  spec.pool_size = 5;  // one instance of each generator family
+  const TraceSpec spec = pool_spec(5);  // one instance of each family
   ScenarioPool pool(spec);
   for (std::uint32_t scenario = 0; scenario < spec.pool_size; ++scenario) {
     const gen::NamedInstance& base = pool.instance(scenario);
@@ -244,9 +92,7 @@ TEST(LoadWorkload, CliqueFamilyHonorsItsSeed) {
   EXPECT_EQ(fingerprint(AnyInstance(seed7a)), fingerprint(AnyInstance(seed7b)));
   EXPECT_NE(fingerprint(AnyInstance(seed7a)), fingerprint(AnyInstance(seed8)));
 
-  TraceSpec spec = golden_spec();
-  spec.pool_size = 10;  // scenarios 2 and 7 are both clique family
-  ScenarioPool pool(spec);
+  ScenarioPool pool(pool_spec(10));  // scenarios 2 and 7 are cliques
   const gen::NamedInstance& first = pool.instance(2);
   const gen::NamedInstance& second = pool.instance(7);
   EXPECT_EQ(first.label, "clique#2");
@@ -254,99 +100,23 @@ TEST(LoadWorkload, CliqueFamilyHonorsItsSeed) {
   EXPECT_NE(fingerprint(first.view()), fingerprint(second.view()));
 }
 
-TEST(LoadDriver, MeasuresLatenessSeparatelyFromServiceLatency) {
-  // Every event fires "at once" against a fully warmed cache: the service
-  // answers each request in ~0 (cache hits record a 0.0 service latency),
-  // while a single submitter firing hundreds of requests scheduled at the
-  // same instant is necessarily LATE for most of them. A driver that
-  // absorbed its own lateness into service latency would show inflated
-  // percentiles here; the contract is that service_latency stays at zero
-  // and the slip is visible in the lateness histogram instead.
-  TraceSpec spec;
-  spec.seed = 7;
-  spec.duration_seconds = 1.0;
-  spec.rate_per_second = 1.0;  // events are hand-written below
-  spec.pool_size = 1;
-  spec.bidders = 8;
-  spec.channels = 2;
-  Trace trace{spec, {}};
-  constexpr std::size_t kEvents = 300;
-  for (std::size_t i = 0; i < kEvents; ++i) {
-    trace.events.push_back(TraceEvent{0.0, 0, 0, DeadlineClass::kNone});
+TEST(LoadWorkload, RejectsMalformedSpecs) {
+  EXPECT_THROW((void)ScenarioPool{pool_spec(0)}, std::invalid_argument);
+  for (const std::uint32_t bidders : {0u, 1u}) {
+    TraceSpec spec = pool_spec(5);
+    spec.bidders = bidders;
+    EXPECT_THROW((void)ScenarioPool{spec}, std::invalid_argument)
+        << bidders << " bidders";
   }
-
-  ScenarioPool pool(spec);
-  client::LocalClient client{service::ServiceOptions{}};
-  // Warm the cache with the exact request the driver will repeat.
-  const SolveReport warm =
-      client.get(client.submit(pool.instance(0).view()));
-  ASSERT_TRUE(warm.error.empty());
-
-  DriverOptions options;
-  options.submitters = 1;
-  const LoadReport report = run_trace(client, pool, trace, options);
-
-  EXPECT_EQ(report.requests, kEvents);
-  EXPECT_EQ(report.completed, kEvents);
-  EXPECT_EQ(report.errors, 0u);
-  EXPECT_EQ(report.cache_hits, kEvents);
-  // Served-from-cache latency is exactly 0 -- nothing leaked into it.
-  EXPECT_EQ(report.service_latency.count(), kEvents);
-  EXPECT_EQ(report.service_latency.max(), 0.0);
-  // The driver measured its own slip on every event, and it is nonzero:
-  // 300 sequential submits cannot all happen at one scheduled instant.
-  EXPECT_EQ(report.lateness.count(), kEvents);
-  EXPECT_GT(report.lateness.max(), 0.0);
-  // Turnaround (submit -> claim) is a real, positive client-side measure.
-  EXPECT_EQ(report.turnaround.count(), kEvents);
-  EXPECT_GT(report.turnaround.max(), 0.0);
-  EXPECT_GT(report.total_welfare, 0.0);
-}
-
-TEST(LoadDriver, TracksDeadlineClassesAndAppliesBudgets) {
-  TraceSpec spec;
-  spec.seed = 11;
-  spec.duration_seconds = 1.0;
-  spec.pool_size = 3;
-  spec.bidders = 8;
-  spec.channels = 2;
-  Trace trace{spec, {}};
-  trace.events.push_back(TraceEvent{0.0, 0, 0, DeadlineClass::kTight});
-  trace.events.push_back(TraceEvent{0.0, 1, 0, DeadlineClass::kLoose});
-  trace.events.push_back(TraceEvent{0.0, 2, 0, DeadlineClass::kNone});
-  trace.events.push_back(TraceEvent{0.1, 0, 0, DeadlineClass::kTight});
-  trace.events.push_back(TraceEvent{0.1, 1, 0, DeadlineClass::kLoose});
-  trace.events.push_back(TraceEvent{0.1, 2, 0, DeadlineClass::kNone});
-
-  ScenarioPool pool(spec);
-  service::ServiceOptions service_options;
-  service_options.admission = AdmissionPolicy::kAcceptAll;
-  client::LocalClient client{service_options};
-
-  DriverOptions options;
-  options.submitters = 2;
-  options.time_scale = 0.0;         // replay as fast as possible
-  options.tight_budget_seconds = 30.0;  // generous: everything must meet
-  options.loose_budget_seconds = 60.0;
-  const LoadReport report = run_trace(client, pool, trace, options);
-
-  EXPECT_EQ(report.requests, 6u);
-  EXPECT_EQ(report.errors, 0u);
-  const auto& tight =
-      report.by_class[static_cast<std::size_t>(DeadlineClass::kTight)];
-  const auto& loose =
-      report.by_class[static_cast<std::size_t>(DeadlineClass::kLoose)];
-  const auto& none =
-      report.by_class[static_cast<std::size_t>(DeadlineClass::kNone)];
-  EXPECT_EQ(tight.requests, 2u);
-  EXPECT_EQ(loose.requests, 2u);
-  EXPECT_EQ(none.requests, 2u);
-  EXPECT_EQ(tight.deadline_met + tight.deadline_missed, 2u);
-  EXPECT_EQ(loose.deadline_met + loose.deadline_missed, 2u);
-  // kNone submits without a budget, so it is never scored.
-  EXPECT_EQ(none.deadline_met + none.deadline_missed, 0u);
-  EXPECT_EQ(tight.deadline_met, 2u) << "30 s budget generously met";
-  EXPECT_EQ(loose.deadline_met, 2u);
+  // Channel counts are the instance constructors' to reject.
+  TraceSpec no_channels = pool_spec(1);
+  no_channels.channels = 0;
+  EXPECT_THROW((void)ScenarioPool{no_channels}, std::invalid_argument);
+  // The smallest valid shape builds every family.
+  TraceSpec smallest = pool_spec(5);
+  smallest.bidders = 2;
+  smallest.channels = 1;
+  EXPECT_EQ(ScenarioPool(smallest).size(), 5u);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // ServiceServer round trips, and the FrontDoor topology -- TcpClient ->
 // FrontDoor -> N in-process ServiceServer backends -- pinned bitwise
 // against a LocalClient run of the same request stream, welfare invariant
-// across backend counts. Labelled `net` (CMakeLists), so the service-smoke
-// CI job runs all of this under sanitizers too.
+// across backend counts, the admission verdicts (reject, degrade) through
+// the door, and merged telemetry that stays exact under concurrent
+// clients. Labelled `net` (CMakeLists), so the service-smoke CI job runs
+// all of this under sanitizers too and the tsan job under TSan.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +31,7 @@
 #include "gen/scenario.hpp"
 #include "graph/conflict_graph.hpp"
 #include "graph/ordering.hpp"
+#include "load/workload.hpp"
 #include "net/front_door.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -36,6 +39,7 @@
 #include "net/service_server.hpp"
 #include "net/socket.hpp"
 #include "support/fingerprint.hpp"
+#include "support/random.hpp"
 #include "wire/codec.hpp"
 #include "wire/protocol.hpp"
 
@@ -731,6 +735,143 @@ TEST(FrontDoorTest, WelfareInvariantAcrossBackendCounts) {
   }
 }
 
+// ------------------------------------------------ admission over the wire
+
+/// The admission twins' topology: TcpClient -> FrontDoor -> ONE backend
+/// with one shard and one worker, so every request queues behind that
+/// worker. hold() primes the admission cost estimate with one real solve,
+/// parks the worker inside on_solve on the next request and queues four
+/// more behind it; release() lets the queue move. The backend's on_solve
+/// holds `this`, so the door is neither copied nor moved.
+class HeldDoor {
+ public:
+  explicit HeldDoor(AdmissionPolicy admission)
+      : blocked_future_(blocked_.get_future()),
+        release_future_(release_.get_future()),
+        backend_({held_service(admission), 0}),
+        door_({{net::Endpoint{net::kLoopbackHost, backend_.port()}}, 0}),
+        client_(door_.port()) {}
+  HeldDoor(const HeldDoor&) = delete;
+  HeldDoor& operator=(const HeldDoor&) = delete;
+
+  /// A held worker would keep the backend's shutdown waiting forever.
+  ~HeldDoor() { release(); }
+
+  [[nodiscard]] TcpClient& client() { return client_; }
+
+  void hold() {
+    (void)client_.get(client_.submit(slow_, "lp-rounding", seeded(1)));
+    gate_on_.store(true);
+    held_.push_back(client_.submit(slow_, "lp-rounding", seeded(2)));
+    ASSERT_EQ(blocked_future_.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    for (std::uint64_t seed = 3; seed < 7; ++seed) {
+      held_.push_back(client_.submit(slow_, "lp-rounding", seeded(seed)));
+    }
+  }
+
+  void release() {
+    if (released_) return;
+    released_ = true;
+    gate_on_.store(false);
+    release_.set_value();
+  }
+
+  /// Releases the worker and claims every held request.
+  void drain() {
+    release();
+    for (const client::RequestId id : held_) (void)client_.get(id);
+    held_.clear();
+  }
+
+  /// Submits a request whose 0.1 ms budget no queue position can meet.
+  [[nodiscard]] client::RequestId submit_hopeless() {
+    SolveOptions hopeless = seeded(99);
+    hopeless.time_budget_seconds = 1e-4;
+    return client_.submit(slow_, client::kAutoSolver, hopeless);
+  }
+
+ private:
+  [[nodiscard]] static SolveOptions seeded(std::uint64_t seed) {
+    SolveOptions options;
+    options.seed = seed;  // distinct payloads, so nothing coalesces
+    options.pipeline.rounding_repetitions = 48;
+    return options;
+  }
+
+  [[nodiscard]] service::ServiceOptions held_service(
+      AdmissionPolicy admission) {
+    service::ServiceOptions config;
+    config.shards = 1;
+    config.threads_per_shard = 1;
+    config.admission = admission;
+    config.on_solve = [this](const Fingerprint&) {
+      if (!gate_on_.load()) return;
+      if (!blocked_signalled_.exchange(true)) blocked_.set_value();
+      release_future_.wait();
+    };
+    return config;
+  }
+
+  std::atomic<bool> gate_on_{false};
+  std::atomic<bool> blocked_signalled_{false};
+  bool released_ = false;
+  std::promise<void> blocked_;
+  std::future<void> blocked_future_;
+  std::promise<void> release_;
+  std::shared_future<void> release_future_;
+  const AuctionInstance slow_ =
+      gen::make_disk_auction(40, 2, gen::ValuationMix::kMixed, 705);
+  std::vector<client::RequestId> held_;
+  net::ServiceServer backend_;
+  net::FrontDoor door_;
+  TcpClient client_;
+};
+
+TEST(FrontDoorTest, RejectPolicyCompletesUnmeetableDeadlinesImmediately) {
+  // The wire twin of test_service's pin: behind a held worker, a hopeless
+  // budget comes back through the door rejected before the queue moves.
+  HeldDoor door(AdmissionPolicy::kReject);
+  ASSERT_NO_FATAL_FAILURE(door.hold());
+  const client::RequestId rejected = door.submit_hopeless();
+  const std::optional<SolveReport> polled = door.client().try_get(rejected);
+  ASSERT_TRUE(polled.has_value());
+  EXPECT_EQ(polled->admission, Admission::kRejected)
+      << "verdict: " << to_string(polled->admission);
+  EXPECT_NE(polled->error.find("admission rejected"), std::string::npos)
+      << polled->error;
+  EXPECT_FALSE(polled->feasible);
+
+  door.drain();
+  const obs::TelemetrySnapshot telemetry = door.client().telemetry();
+  EXPECT_EQ(telemetry.counter_or("service.admission_rejected"), 1u);
+  EXPECT_EQ(telemetry.counter_or("service.admission_degraded"), 0u);
+}
+
+TEST(FrontDoorTest, UnmeetableDeadlinesDegradeByDefault) {
+  // Under the default policy the same hopeless request still completes,
+  // with its budget clamped, and is never cached: its payload depends on
+  // queue timing.
+  HeldDoor door(service::ServiceOptions{}.admission);
+  ASSERT_NO_FATAL_FAILURE(door.hold());
+  const std::size_t cached_before = door.client().stats().cache_entries;
+  const client::RequestId tight = door.submit_hopeless();
+  door.release();
+  const SolveReport report = door.client().get(tight);
+  EXPECT_EQ(report.admission, Admission::kDegraded)
+      << "verdict: " << to_string(report.admission);
+  EXPECT_TRUE(report.error.empty()) << report.error;
+  EXPECT_FALSE(report.cache_hit);
+
+  door.drain();
+  // The holder and the four queued requests are cached; the degraded one
+  // is not.
+  EXPECT_EQ(door.client().stats().cache_entries, cached_before + 5u);
+  const obs::TelemetrySnapshot telemetry = door.client().telemetry();
+  EXPECT_EQ(telemetry.counter_or("service.admission_degraded"), 1u);
+  EXPECT_EQ(telemetry.counter_or("service.admission_rejected"), 0u);
+}
+
 TEST(FrontDoorTest, UnknownIdAndErrorPassthrough) {
   net::ServiceServer backend({small_service(), 0});
   net::FrontDoor door(
@@ -900,6 +1041,133 @@ TEST(FrontDoorTest, TelemetryExportsLinkedSpanTree) {
     EXPECT_EQ(histogram.count(), static_cast<std::uint64_t>(kRequests));
   }
   EXPECT_TRUE(found_solve_hist);
+
+  client.shutdown();
+  for (const auto& backend : backends) backend->wait();
+}
+
+TEST(FrontDoorTest, ConcurrentClientsKeepMergedTelemetryExact) {
+  // Four client threads, each on its own TcpClient, drive a door over two
+  // backends with a seeded, budget-free mix of ScenarioPool repeats and
+  // churn variants, while a fifth thread polls the merged telemetry. The
+  // registries' striped counters, the span rings and the door's telemetry
+  // fan-out race live traffic here (CI runs this label under TSan).
+  load::TraceSpec spec;
+  spec.seed = 20260808;
+  spec.pool_size = 8;
+  spec.bidders = 10;
+  spec.channels = 2;
+  load::ScenarioPool pool(spec);
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 48;
+  constexpr std::uint64_t kRequests = kClients * kPerClient;
+  // Every stream is drawn up front: the pool is single-threaded.
+  std::vector<std::vector<const gen::NamedInstance*>> streams(kClients);
+  Rng rng(20261022);
+  for (int c = 0; c < kClients; ++c) {
+    Rng draw = rng.split(static_cast<std::uint64_t>(c));
+    for (int r = 0; r < kPerClient; ++r) {
+      const auto scenario =
+          static_cast<std::uint32_t>(draw.uniform_int(spec.pool_size));
+      const auto variant = draw.bernoulli(0.3)
+                               ? static_cast<std::uint32_t>(
+                                     1 + draw.uniform_int(3))
+                               : 0u;
+      streams[static_cast<std::size_t>(c)].push_back(
+          &pool.instance(scenario, variant));
+    }
+  }
+  // cache_hit and coalesced depend on which request got there first.
+  const auto timing_free = [](SolveReport report) {
+    report.cache_hit = false;
+    report.coalesced = false;
+    return report;
+  };
+
+  LocalClient local(small_service());
+  std::vector<std::vector<SolveReport>> expected(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    for (const gen::NamedInstance* named :
+         streams[static_cast<std::size_t>(c)]) {
+      expected[static_cast<std::size_t>(c)].push_back(timing_free(
+          local.get(local.submit(named->view(), client::kAutoSolver,
+                                 stream_options()))));
+    }
+  }
+  local.shutdown();
+
+  std::vector<std::unique_ptr<net::ServiceServer>> backends;
+  for (int b = 0; b < 2; ++b) {
+    backends.push_back(std::make_unique<net::ServiceServer>(
+        net::ServiceServerOptions{small_service(), 0}));
+  }
+  net::FrontDoor door({loopback_backends(backends), 0});
+
+  std::vector<std::vector<SolveReport>> reports(kClients);
+  std::atomic<int> running{kClients};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      try {
+        TcpClient client(door.port());
+        for (const gen::NamedInstance* named :
+             streams[static_cast<std::size_t>(c)]) {
+          reports[static_cast<std::size_t>(c)].push_back(
+              client.get(client.submit(named->view(), client::kAutoSolver,
+                                       stream_options())));
+        }
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "client " << c << ": " << e.what();
+      }
+      running.fetch_sub(1);
+    });
+  }
+  int polls = 0;
+  std::thread poller([&] {
+    try {
+      TcpClient client(door.port());
+      std::uint64_t last = 0;
+      do {
+        const std::uint64_t completed =
+            client.telemetry().counter_or("service.completed");
+        EXPECT_GE(completed, last) << "service.completed went backwards";
+        last = completed;
+        ++polls;
+      } while (running.load() > 0);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "poller: " << e.what();
+    }
+  });
+  for (std::thread& thread : clients) thread.join();
+  poller.join();
+  EXPECT_GT(polls, 0);
+
+  for (std::size_t c = 0; c < expected.size(); ++c) {
+    ASSERT_EQ(reports[c].size(), expected[c].size());
+    for (std::size_t r = 0; r < expected[c].size(); ++r) {
+      EXPECT_TRUE(wire::reports_payload_equal(expected[c][r],
+                                              timing_free(reports[c][r])))
+          << "client " << c << " request " << r << " diverged";
+    }
+  }
+
+  // A solve ticks service.completed just after its get() can return, so
+  // the last few may trail the final claim briefly.
+  TcpClient client(door.port());
+  obs::TelemetrySnapshot telemetry;
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    telemetry = client.telemetry();
+    if (telemetry.counter_or("service.completed") >= kRequests) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(telemetry.counter_or("door.submits"), kRequests);
+  EXPECT_EQ(telemetry.counter_or("service.submitted"), kRequests);
+  EXPECT_EQ(telemetry.counter_or("service.completed"), kRequests);
+  // Every request was answered exactly one way.
+  EXPECT_EQ(telemetry.counter_or("service.solves") +
+                telemetry.counter_or("service.cache_hits") +
+                telemetry.counter_or("service.coalesced"),
+            kRequests);
 
   client.shutdown();
   for (const auto& backend : backends) backend->wait();

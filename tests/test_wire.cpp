@@ -486,9 +486,9 @@ TEST(WireFrame, EnvelopeBitFlipsNeverCrashAndNeverTouchThePayload) {
 // wire::kWireVersion / ResultCache::kSnapshotVersion and re-pin.
 
 TEST(WireCodec, StatsRoundTripCoversEveryCounter) {
-  // Every ServiceStats field must survive the codec -- the load harness
-  // reads shed/degrade/timeout rates through stats() on every transport,
-  // so a field silently dropped here would zero a rate remotely only.
+  // Every ServiceStats field must survive the codec -- callers read
+  // shed/degrade/timeout counts through stats() on every transport, so a
+  // field silently dropped here would zero a count remotely only.
   service::ServiceStats stats;
   stats.submitted = 101;
   stats.completed = 95;
